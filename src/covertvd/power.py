@@ -4,7 +4,13 @@ The closed forms invert the Hellinger-based sandwich: p_nec inverts the
 squared-Hellinger lower bound (spending more power than this certainly
 violates the budget), p_suf inverts the sharper Hellinger upper bound
 (spending no more than this certainly meets it), and p_exact solves
-tvd_exact(theta) = delta by bisection bracketed between the two.
+tvd_exact(theta) = delta by a safeguarded Newton iteration bracketed
+between the two.  The Newton step uses the closed-form slope
+
+    dV/dtheta = p_a(f) f'(theta) - p_a(g) g'(theta),   a = n/2,
+
+with p_a the Gamma(a) density; it only steers the search, the bracket
+guarantees the result.
 
 With lambda = sqrt(1 - 4y) the closed-form snr is
 (1 - 2y + sqrt(1 - 4y))/(2y) - 1 = 2 lambda / (1 - lambda), which is the
@@ -17,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, DomainError
-from .tvd import tvd_exact
+from .tvd import fg, tvd_exact
 from .types import ChannelPoint
 
 
@@ -91,12 +97,16 @@ def p_suf(n: int, delta: float, sigma2: float = 1.0) -> float:
 
 
 def p_exact(n: int, delta: float, sigma2: float = 1.0, rel_tol: float = 1e-10) -> PowerInterval:
-    """Power at which the exact TVD equals delta, by bracketed bisection.
+    """Power at which the exact TVD equals delta, by bracketed Newton.
 
-    The root is bisected on the snr interval [p_suf, p_nec]/sigma2, which
+    The root is sought on the snr interval [p_suf, p_nec]/sigma2, which
     must bracket it since the exact distance is sandwiched by the bounds
     the endpoints invert; a non-bracketing interval raises
     ConsistencyError because it can only mean an implementation bug.
+    From a regula-falsi start, each iterate's distance shrinks the
+    bracket, and a Newton step that would leave the bracket is replaced by
+    bisection.  Iteration stops once the step or the bracket is below
+    rel_tol relative.
     """
     _check_sigma2(sigma2)
     # bracket in snr units (sigma2 = 1), scale the result at the end
@@ -109,18 +119,41 @@ def p_exact(n: int, delta: float, sigma2: float = 1.0, rel_tol: float = 1e-10) -
             f"exact TVD not bracketed by [p_suf, p_nec] at n={n}, delta={delta}: "
             f"endpoints deviate by ({f_lo:+.3e}, {f_hi:+.3e})"
         )
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if tvd_exact(ChannelPoint(n=n, theta=mid)).value < delta:
-            lo = mid
+    theta = lo - f_lo * (hi - lo) / (f_hi - f_lo) if f_hi > f_lo else lo
+    while True:
+        resid = tvd_exact(ChannelPoint(n=n, theta=theta)).value - delta
+        if resid == 0.0:
+            break
+        if resid < 0.0:
+            lo = theta
         else:
-            hi = mid
-    theta = 0.5 * (lo + hi)
+            hi = theta
+        # theta - ln(1 + theta) rounds to 0 below theta ~ 1e-16, and so can the slope
+        slope = _tvd_slope(n, theta)
+        step = resid / slope if slope > 0.0 else math.inf
+        if not lo < theta - step < hi:
+            step = theta - 0.5 * (lo + hi)
+        theta -= step
+        if abs(step) <= rel_tol * theta or hi - lo <= rel_tol * hi:
+            break
     return PowerInterval(
         p_suf=p_suf(n, delta, sigma2),
         p_exact=theta * sigma2,
         p_nec=p_nec(n, delta, sigma2),
     )
+
+
+def _tvd_slope(n: int, theta: float) -> float:
+    """dV/dtheta = p_a(f) f' - p_a(g) g' at a = n/2, p_a the Gamma(a) density."""
+    a = 0.5 * n
+    pair = fg(ChannelPoint(n=n, theta=theta))
+    log1p_theta = math.log1p(theta)
+    log_norm = math.lgamma(a)
+    dens_f = math.exp((a - 1.0) * math.log(pair.f) - pair.f - log_norm)
+    dens_g = math.exp((a - 1.0) * math.log(pair.g) - pair.g - log_norm)
+    df = a * (theta - log1p_theta) / (theta * theta)
+    dg = a * (theta / (1.0 + theta) - log1p_theta) / (theta * theta)
+    return dens_f * df - dens_g * dg
 
 
 def _check_sigma2(sigma2: float) -> None:

@@ -1,7 +1,7 @@
 """Shared independent oracles for the test suite.
 
-These deliberately avoid the library's series/continued-fraction gamma
-path: regularized gamma values come from adaptive quadrature of the
+These deliberately avoid the library's incomplete-gamma path (scipy's
+gammainc): regularized gamma values come from adaptive quadrature of the
 log-stable integrand, erfc from quadrature of the Gaussian tail.
 """
 

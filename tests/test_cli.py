@@ -72,6 +72,17 @@ class TestSweepSchema:
             assert float(v_s) == tvd_exact(point).value
 
 
+class TestQuadratureMethod:
+    def test_large_blocklength_with_quad_warning(self, capsys):
+        # quad warns at this point but its error estimate meets the target
+        code, out, _ = run_cli(capsys, "tvd", "--n", "100000", "--tau", "0.7",
+                               "--method", "quadrature", "--format", "json")
+        assert code == EXIT_OK
+        row = json.loads(out)[0]
+        exact = tvd_exact(ChannelPoint.from_tau(100000, 0.7)).value
+        assert abs(row["value"] - exact) <= 1e-9
+
+
 class TestJsonRoundtrip:
     def test_bit_identical_values(self, capsys):
         _, out, _ = run_cli(capsys, "bounds", "--n", "1000", "--tau", "0.5",

@@ -2,12 +2,17 @@
 evaluation path."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covertvd.errors import DomainError
+import covertvd
+from covertvd.errors import AccuracyError, DomainError
 from covertvd.oracles import lrt_threshold, simulate_test, tvd_monte_carlo, tvd_quadrature
 from covertvd.tvd import fg, tvd_exact
 from covertvd.types import METHOD_MONTE_CARLO, METHOD_QUADRATURE, ChannelPoint
@@ -139,3 +144,29 @@ class TestTvdQuadrature:
         ev = tvd_quadrature(ChannelPoint(n=500, theta=0.05))
         assert 0.0 <= ev.err_estimate <= 1e-10
         assert ev.terms_used > 0
+
+    def test_quad_warning_within_target_is_accepted(self, monkeypatch):
+        monkeypatch.setattr(scipy.integrate, "quad",
+                            lambda *args, **kwargs: (0.125, 1e-12, {"neval": 21}, "roundoff"))
+        ev = tvd_quadrature(ChannelPoint(n=500, theta=0.05))
+        assert ev.value == 0.125
+        assert ev.terms_used == 21
+
+    def test_quad_warning_reported_in_accuracy_error(self, monkeypatch):
+        message = "The maximum number of subdivisions (300) has been achieved.\n  more advice"
+        monkeypatch.setattr(scipy.integrate, "quad",
+                            lambda *args, **kwargs: (0.125, 1e-6, {"neval": 21}, message))
+        with pytest.raises(AccuracyError, match=r"maximum number of subdivisions \(300\)"):
+            tvd_quadrature(ChannelPoint(n=500, theta=0.05))
+
+
+def test_package_import_leaves_scipy_integrate_unloaded():
+    src = os.path.dirname(os.path.dirname(covertvd.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, covertvd; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    assert out.stdout.strip() == "False"

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import covertvd.power
 from covertvd.divergences import hellinger_sq, tvd_bounds
 from covertvd.errors import DomainError
 from covertvd.power import CovertBudget, p_exact, p_nec, p_suf
@@ -120,3 +121,19 @@ class TestPExact:
         # (measured ratio ~0.797 at n = 2000)
         interval = p_exact(2000, 0.1)
         assert 0.75 <= interval.p_suf / interval.p_exact < 1.0
+
+    @pytest.mark.parametrize("n", (500, 2000, 10**5, 10**6))
+    @pytest.mark.parametrize("delta", (1e-3, 0.01, 0.1, 0.5))
+    def test_newton_call_count_and_residual(self, monkeypatch, n, delta):
+        calls = []
+
+        def counting_tvd_exact(point):
+            calls.append(point.theta)
+            return tvd_exact(point)
+
+        monkeypatch.setattr(covertvd.power, "tvd_exact", counting_tvd_exact)
+        interval = p_exact(n, delta)
+        assert len(calls) <= 10
+        assert interval.p_suf <= interval.p_exact <= interval.p_nec
+        achieved = tvd_exact(ChannelPoint(n=n, theta=interval.p_exact)).value
+        assert abs(achieved - delta) <= 1e-8 * delta

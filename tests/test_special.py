@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covertvd import special
 from covertvd.errors import AccuracyError, DomainError
 from covertvd.special import (
-    _lower_series,
-    _upper_cf,
     chi2_cdf,
     erfc,
     q_fn,
@@ -66,11 +65,12 @@ class TestRegLowerGamma:
         with pytest.raises(DomainError):
             reg_lower_gamma(a, z)
 
-    def test_iteration_cap_raises(self):
-        with pytest.raises(AccuracyError):
-            _lower_series(50.0, 49.0, max_iter=3)
-        with pytest.raises(AccuracyError):
-            _upper_cf(50.0, 60.0, max_iter=3)
+    @pytest.mark.parametrize("kernel,wrapper", [("gammainc", reg_lower_gamma),
+                                                ("gammaincc", reg_upper_gamma)])
+    def test_non_finite_kernel_result_raises(self, monkeypatch, kernel, wrapper):
+        monkeypatch.setattr(special, kernel, lambda a, z: math.nan)
+        with pytest.raises(AccuracyError, match=kernel):
+            wrapper(50.0, 49.0)
 
 
 class TestChi2Cdf:

@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covertvd.errors import DomainError
-from covertvd.tvd import fg, log_tail_weight, tvd_complement, tvd_exact, tvd_series
+from covertvd.tvd import (
+    _BASELINE_PRECISION,
+    fg,
+    log_tail_weight,
+    tvd_complement,
+    tvd_exact,
+    tvd_series,
+)
 from covertvd.types import (
     METHOD_EXACT,
     METHOD_SERIES_HIGH,
@@ -130,3 +137,27 @@ class TestLogTailWeight:
 
     def test_zero_at_midpoint(self):
         assert log_tail_weight(1000, 500.0) == 0.0
+
+
+class TestMpmathOracle:
+    """tvd_exact and tvd_complement against 30-digit mpmath incomplete
+    gamma values at the same double-precision snr, up to n = 1e6."""
+
+    @staticmethod
+    def reference(point):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            theta = mp.mpf(point.theta)
+            a = mp.mpf(point.n) / 2
+            ratio = mp.log1p(theta) / theta
+            q_f = mp.gammainc(a, a * (1 + theta) * ratio, mp.inf, regularized=True)
+            p_g = mp.gammainc(a, 0, a * ratio, regularized=True)
+            return float(1 - q_f - p_g), float(q_f + p_g)
+
+    @pytest.mark.parametrize("n", (10**3, 10**4, 10**5, 10**6))
+    @pytest.mark.parametrize("tau", (0.3, 0.5, 0.7, 0.9, 0.95))
+    def test_value_and_complement(self, n, tau):
+        point = ChannelPoint.from_tau(n, tau)
+        v_ref, c_ref = self.reference(point)
+        assert abs(tvd_exact(point).value - v_ref) <= _BASELINE_PRECISION
+        assert tvd_complement(point) == pytest.approx(c_ref, rel=1e-8)
