@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DomainError, FitError
 from .tvd import tvd_complement, tvd_exact
-from .types import ChannelPoint
+from .types import ChannelPoint, check_int
 
 GRID_LOG = "log"
 GRID_LINEAR = "linear"
@@ -61,15 +61,12 @@ def default_n_grid(n_min: int = 1000, n_max: int = 100000, points: int = 12) -> 
 
 
 def _check_grid(n_grid) -> tuple[int, ...]:
-    grid = tuple(n_grid)
+    grid = tuple(check_int(n, 1, "grid entries must be positive integers") for n in n_grid)
     if not grid:
         raise DomainError("blocklength grid must be nonempty")
-    for n in grid:
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise DomainError(f"grid entries must be positive integers, got {n!r}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("blocklength grid must be strictly increasing")
-    return tuple(int(n) for n in grid)
+    return grid
 
 
 def _classify_grid(grid: tuple[int, ...]) -> str:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, DomainError
-from .types import METHOD_MONTE_CARLO, METHOD_QUADRATURE, ChannelPoint, TvdEvaluation
+from .types import METHOD_MONTE_CARLO, METHOD_QUADRATURE, ChannelPoint, TvdEvaluation, check_int
 
 _QUAD_ABS_TARGET = 1e-10
 
@@ -64,12 +64,9 @@ def simulate_test(
     degenerate).  m below ~1e4 is accepted; the imprecision shows up in
     std_err rather than as an error.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise DomainError(f"sample count must be a positive integer, got {m!r}")
-    if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
-        raise DomainError(f"shard count must be a positive integer, got {shards!r}")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
+    m = check_int(m, 1, "sample count must be a positive integer")
+    shards = check_int(shards, 1, "shard count must be a positive integer")
+    seed = check_int(seed, 0, "seed must be a nonnegative integer")
     r2 = lrt_threshold(point) if threshold_sq is None else float(threshold_sq)
     if not (math.isfinite(r2) and r2 > 0.0):
         raise DomainError(f"threshold must be finite and positive, got {r2!r}")

@@ -13,8 +13,11 @@ with p_a the Gamma(a) density; it only steers the search, the bracket
 guarantees the result.
 
 With lambda = sqrt(1 - 4y) the closed-form snr is
-(1 - 2y + sqrt(1 - 4y))/(2y) - 1 = 2 lambda / (1 - lambda), which is the
-form used here (exact algebraic rewrite, stable as delta -> 0).
+(1 - 2y + sqrt(1 - 4y))/(2y) - 1 = 2 lambda / (1 - lambda).  The code
+writes 1 - lambda as 4y / (1 + lambda), since (1 - lambda)(1 + lambda) = 4y,
+and evaluates 2 lambda (1 + lambda) / (4y).  This exact rewrite is stable
+at both ends: as delta -> 0 (lambda -> 0) and as delta -> 1 at small n,
+where lambda rounds to 1 but y stays positive.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import ConsistencyError, DomainError
 from .tvd import fg, tvd_exact
-from .types import ChannelPoint
+from .types import ChannelPoint, check_int
 
 
 @dataclass(frozen=True)
@@ -44,8 +47,7 @@ class CovertBudget:
 
     @classmethod
     def from_delta(cls, n: int, delta: float) -> "CovertBudget":
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise DomainError(f"blocklength must be a positive integer, got {n!r}")
+        n = check_int(n, 1, "blocklength must be a positive integer")
         if not (math.isfinite(delta) and 0.0 < delta < 1.0):
             raise DomainError(f"TVD budget must lie in (0, 1), got {delta!r}")
         log_y4 = (4.0 / n) * math.log1p(-delta)            # ln (1-delta)^(4/n)
@@ -69,9 +71,11 @@ class PowerInterval:
     p_nec: float
 
 
-def eta_from_lambda(lam: float) -> float:
-    """(1 - 2y + sqrt(1 - 4y)) / (2y) rewritten as (1 + lam)/(1 - lam)."""
-    return (1.0 + lam) / (1.0 - lam)
+def eta_from_lambda(lam: float, y: float) -> float:
+    """(1 - 2y + sqrt(1 - 4y)) / (2y) = (1 + lam)/(1 - lam) for lam = sqrt(1 - 4y),
+    evaluated as (1 + lam)^2 / (4y) so that lam = 1 in double precision
+    does not divide by zero."""
+    return (1.0 + lam) * (1.0 + lam) / (4.0 * y)
 
 
 def p_nec(n: int, delta: float, sigma2: float = 1.0) -> float:
@@ -82,7 +86,7 @@ def p_nec(n: int, delta: float, sigma2: float = 1.0) -> float:
     """
     _check_sigma2(sigma2)
     budget = CovertBudget.from_delta(n, delta)
-    return 2.0 * budget.lam / (1.0 - budget.lam) * sigma2
+    return 2.0 * budget.lam * (1.0 + budget.lam) / (4.0 * budget.y) * sigma2
 
 
 def p_suf(n: int, delta: float, sigma2: float = 1.0) -> float:
@@ -93,7 +97,7 @@ def p_suf(n: int, delta: float, sigma2: float = 1.0) -> float:
     """
     _check_sigma2(sigma2)
     budget = CovertBudget.from_delta(n, delta)
-    return 2.0 * budget.lam1 / (1.0 - budget.lam1) * sigma2
+    return 2.0 * budget.lam1 * (1.0 + budget.lam1) / (4.0 * budget.y0) * sigma2
 
 
 def p_exact(n: int, delta: float, sigma2: float = 1.0, rel_tol: float = 1e-10) -> PowerInterval:
@@ -109,9 +113,10 @@ def p_exact(n: int, delta: float, sigma2: float = 1.0, rel_tol: float = 1e-10) -
     rel_tol relative.
     """
     _check_sigma2(sigma2)
-    # bracket in snr units (sigma2 = 1), scale the result at the end
-    lo = p_suf(n, delta)
-    hi = p_nec(n, delta)
+    # bracket in snr units (sigma2 = 1), scale the results at the end
+    suf = p_suf(n, delta)
+    nec = p_nec(n, delta)
+    lo, hi = suf, nec
     f_lo = tvd_exact(ChannelPoint(n=n, theta=lo)).value - delta
     f_hi = tvd_exact(ChannelPoint(n=n, theta=hi)).value - delta
     if f_lo > 0.0 or f_hi < 0.0:
@@ -136,11 +141,7 @@ def p_exact(n: int, delta: float, sigma2: float = 1.0, rel_tol: float = 1e-10) -
         theta -= step
         if abs(step) <= rel_tol * theta or hi - lo <= rel_tol * hi:
             break
-    return PowerInterval(
-        p_suf=p_suf(n, delta, sigma2),
-        p_exact=theta * sigma2,
-        p_nec=p_nec(n, delta, sigma2),
-    )
+    return PowerInterval(p_suf=suf * sigma2, p_exact=theta * sigma2, p_nec=nec * sigma2)
 
 
 def _tvd_slope(n: int, theta: float) -> float:

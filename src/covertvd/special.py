@@ -24,6 +24,7 @@ import math
 from scipy.special import gammainc, gammaincc, ndtri
 
 from .errors import AccuracyError, DomainError
+from .types import check_int
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -65,8 +66,7 @@ def chi2_cdf(n: int, x: float) -> float:
 
     Identical call path to reg_lower_gamma(n/2, x/2).
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"degrees of freedom must be a positive integer, got {n!r}")
+    n = check_int(n, 1, "degrees of freedom must be a positive integer")
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"chi-square argument must be finite and nonnegative, got {x!r}")
     return reg_lower_gamma(0.5 * n, 0.5 * x)

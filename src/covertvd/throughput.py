@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DomainError, RegimeError
 from .power import CovertBudget, eta_from_lambda
 from .special import chi2_cdf, q_inv
+from .types import check_int
 
 LOG2E = math.log2(math.e)
 
@@ -64,11 +65,12 @@ def _report(kind: str, eps: float, first: float, second: float, logn: float) -> 
     )
 
 
-def _check_common(n: int, eps: float) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"blocklength must be a positive integer, got {n!r}")
+def _check_common(n: int, eps: float) -> int:
+    """Validate (n, eps); returns n as a Python int."""
+    n = check_int(n, 1, "blocklength must be a positive integer")
     if not (math.isfinite(eps) and 0.0 < eps < 1.0):
         raise DomainError(f"decoding error probability must lie in (0, 1), got {eps!r}")
+    return n
 
 
 def _check_power(P: float) -> None:
@@ -124,10 +126,11 @@ def v_hat_mu(P: float, R: float) -> float:
 
 def b_mu(P: float, R: float, mu: float) -> float:
     """Berry-Esseen ratio 6 T_mu(P, R) / v_hat_mu(P, R)^(3/2)."""
-    v = v_hat_mu(P, R)
-    if v == 0.0:
+    # v^(3/2) underflows to 0 while v is still positive, below v ~ 1e-215
+    v32 = v_hat_mu(P, R) ** 1.5
+    if v32 == 0.0:
         raise DomainError("Berry-Esseen ratio undefined at zero dispersion")
-    return 6.0 * t_mu(P, R, mu) / v ** 1.5
+    return 6.0 * t_mu(P, R, mu) / v32
 
 
 def be_margin(n: int, P: float, mu: float) -> float:
@@ -141,8 +144,7 @@ def truncation_mass(n: int, mu: float) -> float:
     the codeword shell mu^2 n P <= ||x||^2 <= n P (P cancels):
     chi2_cdf(n, n/mu) - chi2_cdf(n, n mu).  Tends to 1 as n grows at fixed
     mu by sphere hardening, and to 0 as mu -> 1 (empty shell)."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"blocklength must be a positive integer, got {n!r}")
+    n = check_int(n, 1, "blocklength must be a positive integer")
     _check_mu(mu)
     return chi2_cdf(n, n / mu) - chi2_cdf(n, n * mu)
 
@@ -150,7 +152,7 @@ def truncation_mass(n: int, mu: float) -> float:
 def converse_na(n: int, eps: float, P: float) -> ThroughputReport:
     """Normal-approximation converse nC - sqrt(nV) Q^{-1}(eps) + log2(n)/2,
     independent of any coding scheme."""
-    _check_common(n, eps)
+    n = _check_common(n, eps)
     _check_power(P)
     first = n * capacity(P)
     second = -math.sqrt(n * dispersion(P)) * q_inv(eps)
@@ -176,7 +178,7 @@ def achievability_na(
     scales, so it is enforced only when enforce_be_guard is set and is
     always available via be_margin().
     """
-    _check_common(n, eps)
+    n = _check_common(n, eps)
     _check_power(P)
     _check_mu(mu)
     if not (math.isfinite(tau0) and 0.0 < tau0 < eps):
@@ -226,13 +228,15 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 def achievability_full(n: int, eps: float, P: float, mu: float) -> ThroughputReport:
     """Full shell-codebook achievability bound: golden-section maximization
-    of the rate point R in [mu^2 P, P], then the supremum over tau0 on a
-    50-point log grid spanning (1e-6 eps, eps).
+    of the rate point R in [mu^2 P, P], plus log2(tau0) at the largest
+    point of the 50-point log grid geomspace(1e-6 eps, eps, 51)[:-1].  The
+    bound increases with tau0, so that point, tau0 = eps 10^(-6/50), is
+    the grid maximum and enters in closed form.
 
     Raises RegimeError when the Berry-Esseen margin reaches eps, where the
     bound's Q^{-1} argument leaves (0, 1) and the bound is vacuous.
     """
-    _check_common(n, eps)
+    n = _check_common(n, eps)
     _check_power(P)
     _check_mu(mu)
     if P == 0.0:
@@ -259,8 +263,7 @@ def achievability_full(n: int, eps: float, P: float, mu: float) -> ThroughputRep
     r_star = 0.5 * (lo + hi)
 
     first, second, rest = _full_core(n, eps, P, mu, r_star)
-    tau0_grid = np.geomspace(1e-6 * eps, eps, 51)[:-1]
-    log_tau0 = float(np.max(np.log2(tau0_grid)))
+    log_tau0 = math.log2(eps) - (6.0 / 50.0) * math.log2(10.0)
     return _report(KIND_ACH_FULL, eps, first, second, rest + log_tau0)
 
 
@@ -273,10 +276,10 @@ def covert_throughput_bounds(n: int, eps: float, delta: float) -> tuple[Throughp
     two roles.  The O(log n) residual is fixed at +log2(n)/2 on both.
     Returns (suf, nec) with suf.bits <= nec.bits.
     """
-    _check_common(n, eps)
+    n = _check_common(n, eps)
     budget = CovertBudget.from_delta(n, delta)
-    eta_y = eta_from_lambda(budget.lam)
-    eta_y0 = eta_from_lambda(budget.lam1)
+    eta_y = eta_from_lambda(budget.lam, budget.y)
+    eta_y0 = eta_from_lambda(budget.lam1, budget.y0)
     qi = q_inv(eps)
     logn = 0.5 * math.log2(n)
 

@@ -21,12 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .expansions import (
-    _gamma_series_lower,
-    _gamma_series_upper,
-    _transition_coeffs,
-    phi_transition,
-)
+from .expansions import _gamma_series_lower, _gamma_series_upper, _transition_sum, phi_transition
 from .special import reg_lower_gamma, reg_upper_gamma
 from .types import (
     METHOD_EXACT,
@@ -96,15 +91,12 @@ def tvd_complement(point: ChannelPoint) -> float:
 
 def _series_transition(point: ChannelPoint, K: int) -> tuple[float, int]:
     """Transition-regime approximation [Gamma(a+1,g) - Gamma(a+1,f)]/Gamma(a+1)
-    with a = n/2 - 1, shared coefficients and prefactor."""
+    with a = n/2 - 1: one transition sum over the Phi differences at g and f."""
     a = 0.5 * point.n - 1.0
     pair = fg(point)
-    c = _transition_coeffs(a, K)
     phi_g = phi_transition(a, pair.g, K).values
     phi_f = phi_transition(a, pair.f, K).values
-    total = math.fsum(ck * (pg - pf) for ck, pg, pf in zip(c, phi_g, phi_f))
-    log_pre = (a + 1.0) * math.log(a) - a - math.lgamma(a + 1.0)
-    return math.exp(log_pre) * total, K + 1
+    return _transition_sum(a, [pg - pf for pg, pf in zip(phi_g, phi_f)]), K + 1
 
 
 def _series_linear(point: ChannelPoint, K: int) -> tuple[float, int]:

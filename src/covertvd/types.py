@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -13,6 +14,22 @@ METHOD_SERIES_HIGH = "series-high-tau"
 METHOD_SERIES_LOW = "series-low-tau"
 METHOD_QUADRATURE = "quadrature"
 METHOD_MONTE_CARLO = "monte-carlo"
+
+
+def check_int(value, minimum: int, message: str) -> int:
+    """value as a Python int when it is an integer >= minimum, else
+    DomainError(f"{message}, got {value!r}").
+
+    Any type with __index__ (numpy integers included) is accepted; bool is
+    rejected, as are floats, even integral ones.
+    """
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or isinstance(value, bool) or number < minimum:
+        raise DomainError(f"{message}, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -34,8 +51,8 @@ class ChannelPoint:
     theta: float = 0.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise DomainError(f"blocklength must be a positive integer, got {self.n!r}")
+        n = check_int(self.n, 1, "blocklength must be a positive integer")
+        object.__setattr__(self, "n", n)  # frozen; stores a Python int, not a numpy integer
         if not (math.isfinite(self.sigma2) and self.sigma2 > 0):
             raise DomainError(f"noise variance must be finite and positive, got {self.sigma2!r}")
         if not (math.isfinite(self.theta) and self.theta >= 0):
@@ -46,8 +63,7 @@ class ChannelPoint:
         """Point on the power scaling law theta = n**(-tau)."""
         if not (math.isfinite(tau) and 0.0 < tau < 1.0):
             raise DomainError(f"scaling exponent must lie in (0, 1), got {tau!r}")
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise DomainError(f"blocklength must be a positive integer, got {n!r}")
+        n = check_int(n, 1, "blocklength must be a positive integer")
         return cls(n=n, sigma2=sigma2, theta=float(n) ** (-tau))
 
     @property

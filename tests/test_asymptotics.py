@@ -50,6 +50,8 @@ class TestSweep:
             sweep_tvd(0.5, (100, 100))
         with pytest.raises(DomainError):
             sweep_tvd(1.5, (100, 200))
+        with pytest.raises(DomainError):
+            sweep_tvd(0.5, (True, 2, 3))
 
 
 class TestFitRate:

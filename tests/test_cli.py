@@ -1,8 +1,12 @@
 """Command-line interface: schemas, exit codes, determinism, roundtrips."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covertvd.cli import EXIT_ACCURACY, EXIT_DOMAIN, EXIT_OK, FIGURES, main
 from covertvd.errors import AccuracyError
@@ -51,6 +55,67 @@ class TestExitCodes:
     def test_accuracy_exit_code_reserved(self):
         assert EXIT_ACCURACY == 4
         assert issubclass(AccuracyError, ArithmeticError)
+
+
+class TestBudgetNearOne:
+    # lambda = sqrt(1 - (1 - delta)^(4/n)) rounds to 1 at n = 1 for these budgets
+    @pytest.mark.parametrize("delta", ["0.999999", "0.9999999987967297"])
+    def test_power(self, capsys, delta):
+        code, out, _ = run_cli(capsys, "power", "--n", "1", "--delta", delta, "--format", "json")
+        assert code == EXIT_OK
+        row = json.loads(out)[0]
+        assert row["p_suf"] <= row["p_exact"] <= row["p_nec"]
+
+    def test_covert_throughput(self, capsys):
+        code, out, _ = run_cli(capsys, "throughput", "--kind", "covert", "--n", "1",
+                               "--eps", "0.5", "--delta", "0.999999", "--format", "json")
+        assert code == EXIT_OK
+        suf, nec = json.loads(out)
+        assert suf["bits"] <= nec["bits"]
+
+
+# The documented domain: n <= 1e6, tau in (0, 1), delta in [1e-6, 1).  Sample
+# counts and shards stay small so no case allocates much or runs long.
+N = st.integers(1, 10**6)
+TAU = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+DELTA = st.floats(1e-6, 1.0, exclude_max=True)
+UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+POINTS = st.integers(1, 20)
+
+
+def command(name, **flags):
+    """argv strategy for one subcommand: --flag value for each keyword."""
+    return st.fixed_dictionaries(flags).map(
+        lambda values: [name] + [item for key, value in values.items()
+                                 for item in (f"--{key.replace('_', '-')}", str(value))]
+    )
+
+
+COMMANDS = st.one_of(
+    command("tvd", n=N, tau=TAU, method=st.sampled_from(["exact", "series", "quadrature"]),
+            k=st.integers(0, 60)),
+    command("bounds", n=N, tau=TAU),
+    command("power", n=N, delta=DELTA),
+    command("throughput", kind=st.just("covert"), n=N, eps=UNIT, delta=DELTA),
+    command("throughput", kind=st.just("converse"), n=N, eps=UNIT, power=UNIT),
+    command("throughput", kind=st.just("ach-na"), n=N, eps=UNIT, power=UNIT, mu=UNIT, tau0=UNIT),
+    command("throughput", kind=st.just("ach-full"), n=N, eps=UNIT, power=UNIT, mu=UNIT),
+    command("sweep", tau=TAU, n_min=N, n_max=N, points=POINTS),
+    command("mc", n=N, tau=TAU, m=st.integers(1, 20000), seed=st.integers(0, 2**32),
+            shards=st.integers(1, 4)),
+    command("fit-rate", tau=TAU, n_min=N, n_max=N, points=POINTS),
+)
+
+
+class TestContract:
+    @given(argv=COMMANDS)
+    @settings(max_examples=200, deadline=None)
+    def test_every_subcommand_exits_cleanly(self, argv):
+        # any escaping exception fails the test; the exit code must be a
+        # documented one (success, domain or accuracy)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_ACCURACY), argv
 
 
 class TestSweepSchema:

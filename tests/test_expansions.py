@@ -23,6 +23,16 @@ from covertvd.expansions import (
     stirling_gamma_halfn,
 )
 from covertvd.special import reg_lower_gamma, reg_upper_gamma
+from covertvd.tvd import fg
+from covertvd.types import ChannelPoint
+
+#: (a, g) pairs the low-tau tvd_series path visits at K = 20: a = n/2 - 1
+#: and g from fg at theta = n^(-tau).
+SERIES_PAIRS = [
+    (0.5 * n - 1.0, fg(ChannelPoint.from_tau(n, tau)).g)
+    for n in (10**3, 10**4, 10**5, 10**6)
+    for tau in (0.25, 0.35, 0.45)
+]
 
 
 def c_defining_sum(a: int, k: int) -> float:
@@ -63,6 +73,19 @@ class TestCoeffs:
         for k in range(16):
             ident = (-1.0) ** k * math.factorial(k) * cf.c[k]
             assert cf.c_star[k] == pytest.approx(ident, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("a", sorted({a for a, _ in SERIES_PAIRS}))
+    def test_star_identity_on_series_shapes(self, a):
+        # the low orders, where the sign-scale class of bug shows as an O(1)
+        # disagreement from k = 2 on; higher orders carry the rounding drift
+        # both float recurrences accumulate
+        cf = coeffs_c(a, 20)
+        fact = 1.0
+        for k in range(7):
+            if k > 0:
+                fact *= k
+            ident = (-1.0) ** k * fact * cf.c[k]
+            assert abs(cf.c_star[k] - ident) <= 1e-10 * max(abs(ident), 1.0)
 
     @pytest.mark.parametrize("a", [100.0, 1000.0, 10000.0])
     def test_growth_envelope(self, a):
@@ -112,6 +135,25 @@ class TestPhiLinear:
         closed = phi_linear_closed_form(a, a + w, 5)
         for r, c in zip(seq.values, closed):
             assert r == pytest.approx(c, rel=1e-10)
+
+    @pytest.mark.parametrize("a, g", SERIES_PAIRS)
+    def test_recurrence_equals_closed_form_on_series_arguments(self, a, g):
+        # compare wherever the literal sum keeps enough digits: skip orders
+        # whose condition number (largest term over result) exceeds 1e6
+        K = 20
+        seq = phi_linear(a, g, K)
+        closed = phi_linear_closed_form(a, g, K)
+        w = g - a
+        fact = 1.0
+        checked = 0
+        for k in range(K + 1):
+            if k > 0:
+                fact *= k
+            if closed[k] == 0.0 or (fact / abs(w) ** (k + 1)) / abs(closed[k]) > 1e6:
+                continue
+            assert abs(seq.values[k] - closed[k]) <= 1e-6 * abs(closed[k])
+            checked += 1
+        assert checked > 0
 
     def test_decay_with_argument(self):
         # Phi_k -> 0 like |z-a|^(-k-1); the normalized ratios stay bounded

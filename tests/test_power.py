@@ -109,6 +109,16 @@ class TestPExact:
         assert tvd_exact(ChannelPoint(n=n, theta=interval.p_suf)).value <= delta
         assert tvd_exact(ChannelPoint(n=n, theta=interval.p_nec)).value >= delta
 
+    def test_budget_near_one_where_lambda_rounds_to_one(self):
+        # (1 - delta)^(4/n) = 1e-24 at n = 1: lam = 1.0 in double precision
+        n, delta = 1, 0.999999
+        assert CovertBudget.from_delta(n, delta).lam == 1.0
+        interval = p_exact(n, delta)
+        assert math.isfinite(interval.p_nec)
+        assert interval.p_suf <= interval.p_exact <= interval.p_nec
+        achieved = tvd_exact(ChannelPoint(n=n, theta=interval.p_exact)).value
+        assert achieved == pytest.approx(delta, rel=1e-8)
+
     def test_powers_decrease_with_blocklength(self):
         intervals = [p_exact(n, 0.1) for n in (500, 1000, 2000, 5000)]
         for a, b in zip(intervals, intervals[1:]):

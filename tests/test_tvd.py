@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,6 +49,14 @@ class TestFg:
     def test_negative_snr_rejected(self):
         with pytest.raises(DomainError):
             ChannelPoint(n=10, theta=-0.1)
+
+    def test_numpy_integer_blocklength_stored_as_int(self):
+        point = ChannelPoint(n=np.int64(1000), theta=1.0)
+        assert type(point.n) is int
+        assert point == ChannelPoint(n=1000, theta=1.0)
+        assert type(ChannelPoint.from_tau(np.int32(1000), 0.5).n) is int
+        with pytest.raises(DomainError):
+            ChannelPoint(n=np.float64(1000.0), theta=1.0)
 
 
 class TestTvdExact:
