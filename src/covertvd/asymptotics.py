@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FitError
-from .tvd import tvd_complement, tvd_exact
+from .tvd import _tvd_value, tvd_complement
 from .types import ChannelPoint, check_int
 
 GRID_LOG = "log"
@@ -69,13 +69,18 @@ def _check_grid(n_grid) -> tuple[int, ...]:
     return grid
 
 
+def _spread(values: list[float]) -> float:
+    """(max - min) / max."""
+    top = max(values)
+    return (top - min(values)) / top
+
+
 def _classify_grid(grid: tuple[int, ...]) -> str:
     if len(grid) < 3:
         return GRID_LOG
-    diffs = np.diff(np.asarray(grid, dtype=float))
-    ratios = np.asarray(grid[1:], dtype=float) / np.asarray(grid[:-1], dtype=float)
-    diff_spread = float(np.ptp(diffs) / np.max(diffs))
-    ratio_spread = float(np.ptp(ratios) / np.max(ratios))
+    pairs = [(float(a), float(b)) for a, b in zip(grid, grid[1:])]
+    diff_spread = _spread([b - a for a, b in pairs])
+    ratio_spread = _spread([b / a for a, b in pairs])
     return GRID_LINEAR if diff_spread < ratio_spread else GRID_LOG
 
 
@@ -84,7 +89,7 @@ def sweep_tvd(tau: float, n_grid, grid_kind: str | None = None) -> ScalingSeries
     if not (math.isfinite(tau) and 0.0 < tau < 1.0):
         raise DomainError(f"scaling exponent must lie in (0, 1), got {tau!r}")
     grid = _check_grid(n_grid)
-    pts = tuple((n, tvd_exact(ChannelPoint.from_tau(n, tau)).value) for n in grid)
+    pts = tuple((n, _tvd_value(n, float(n) ** (-tau))) for n in grid)
     return ScalingSeries(tau=tau, points=pts, grid_kind=grid_kind or _classify_grid(grid))
 
 
@@ -153,5 +158,5 @@ def stationarity_check(n_grid, c: float = 1.0) -> float:
     if not (math.isfinite(c) and c > 0.0):
         raise DomainError(f"scaling constant must be positive, got {c!r}")
     grid = _check_grid(n_grid)
-    vals = [tvd_exact(ChannelPoint(n=n, theta=c / math.sqrt(n))).value for n in grid]
+    vals = [_tvd_value(n, c / math.sqrt(n)) for n in grid]
     return max(vals) - min(vals)

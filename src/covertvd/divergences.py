@@ -19,6 +19,7 @@ from .special import reg_lower_gamma
 from .types import ChannelPoint
 
 LOG2E = math.log2(math.e)
+_LN4 = math.log(4.0)
 _UNITS = ("bits", "nats")
 
 
@@ -76,8 +77,15 @@ def kl_divergences(point: ChannelPoint, units: str = "bits") -> tuple[float, flo
 
 
 def _log_base(theta: float) -> float:
-    """ln of the Hellinger base 4(1+theta)/(2+theta)^2, as log1p of a
-    small negative quantity so n-th powers stay exact near theta = 0."""
+    """ln of the Hellinger base 4(1+theta)/(2+theta)^2.
+
+    Up to theta = 10 it is log1p(-r^2), r = theta/(2+theta), so n-th
+    powers stay exact near theta = 0.  Above, 1 - r^2 cancels (r^2 rounds
+    to 1 from theta ~ 1e16), so the logarithm is taken term by term; the
+    two forms are equally accurate (~1e-15 relative) near theta = 10.
+    """
+    if theta > 10.0:
+        return _LN4 + math.log1p(theta) - 2.0 * math.log(2.0 + theta)
     r = theta / (2.0 + theta)
     return math.log1p(-r * r)
 

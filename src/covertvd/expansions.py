@@ -217,39 +217,38 @@ def _sum_optimal(terms: list[float]) -> tuple[float, int]:
     return total, used
 
 
-def _upper_terms(a: float, z: float, K: int) -> list[float]:
-    cf = coeffs_c(a, K)
-    d = z - a
+def _upper_terms(cf: ExpansionCoeffs, z: float) -> list[float]:
+    d = z - cf.a
     return [cs / d ** (k + 1) for k, cs in enumerate(cf.c_star)]
 
 
-def _lower_terms(a: float, z: float, K: int) -> list[float]:
-    cf = coeffs_c(a, K)
-    phi = phi_linear(a, z, K)
+def _lower_terms(cf: ExpansionCoeffs, z: float) -> list[float]:
+    phi = phi_linear(cf.a, z, len(cf.c) - 1)
     return [ck * pk for ck, pk in zip(cf.c, phi.values)]
 
 
-def _gamma_series_lower(a: float, z: float, K: int) -> tuple[float, int]:
-    _check_shape(a)
-    _check_order(K)
+def _gamma_series_lower(cf: ExpansionCoeffs, z: float) -> tuple[float, int]:
+    """Lower series at z from the coefficients of shape cf.a (coeffs_c has
+    validated the shape and the order); returns (value, terms used)."""
+    a = cf.a
     if not math.isfinite(z) or z < 0.0:
         raise DomainError(f"argument must be finite and nonnegative, got z={z!r}")
     if z == 0.0:
         return 0.0, 0
     if z >= a:
         raise RegimeError(f"lower expansion requires z < a, got z={z}, a={a}")
-    total, used = _sum_optimal(_lower_terms(a, z, K))
+    total, used = _sum_optimal(_lower_terms(cf, z))
     return math.exp(_log_prefactor(a, z)) * total, used
 
 
-def _gamma_series_upper(a: float, z: float, K: int) -> tuple[float, int]:
-    _check_shape(a)
-    _check_order(K)
+def _gamma_series_upper(cf: ExpansionCoeffs, z: float) -> tuple[float, int]:
+    """Upper series at z, as _gamma_series_lower."""
+    a = cf.a
     if not math.isfinite(z):
         raise DomainError(f"argument must be finite, got z={z!r}")
     if z <= a:
         raise RegimeError(f"upper expansion requires z > a, got z={z}, a={a}")
-    total, used = _sum_optimal(_upper_terms(a, z, K))
+    total, used = _sum_optimal(_upper_terms(cf, z))
     return math.exp(_log_prefactor(a, z)) * total, used
 
 
@@ -280,7 +279,7 @@ def gamma_series_lower(a: float, z: float, K: int = 20) -> float:
     Accurate once a - z is several sqrt(a); near the transition point use
     gamma_series_transition instead.
     """
-    return _gamma_series_lower(a, z, K)[0]
+    return _gamma_series_lower(coeffs_c(a, K), z)[0]
 
 
 def gamma_series_upper(a: float, z: float, K: int = 20) -> float:
@@ -289,7 +288,7 @@ def gamma_series_upper(a: float, z: float, K: int = 20) -> float:
     The series is asymptotic, not convergent; summation stops at the
     smallest-magnitude term when that precedes order K.
     """
-    return _gamma_series_upper(a, z, K)[0]
+    return _gamma_series_upper(coeffs_c(a, K), z)[0]
 
 
 def gamma_series_transition(a: float, z: float, K: int = 20) -> float:

@@ -4,7 +4,7 @@ The closed forms invert the Hellinger-based sandwich: p_nec inverts the
 squared-Hellinger lower bound (spending more power than this certainly
 violates the budget), p_suf inverts the sharper Hellinger upper bound
 (spending no more than this certainly meets it), and p_exact solves
-tvd_exact(theta) = delta by a safeguarded Newton iteration bracketed
+exact TVD V(theta) = delta by a safeguarded Newton iteration bracketed
 between the two.  The Newton step uses the closed-form slope
 
     dV/dtheta = p_a(f) f'(theta) - p_a(g) g'(theta),   a = n/2,
@@ -26,8 +26,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, DomainError
-from .tvd import fg, tvd_exact
-from .types import ChannelPoint, check_int
+from .tvd import _fg, _tvd_value
+from .types import check_int
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,11 @@ def eta_from_lambda(lam: float, y: float) -> float:
     return (1.0 + lam) * (1.0 + lam) / (4.0 * y)
 
 
+def _snr_from_lambda(lam: float, y: float) -> float:
+    """Closed-form snr 2 lam (1 + lam) / (4y) = eta - 1 at lam = sqrt(1 - 4y)."""
+    return 2.0 * lam * (1.0 + lam) / (4.0 * y)
+
+
 def p_nec(n: int, delta: float, sigma2: float = 1.0) -> float:
     """Necessary power level: above it the budget is certainly violated.
 
@@ -86,7 +91,7 @@ def p_nec(n: int, delta: float, sigma2: float = 1.0) -> float:
     """
     _check_sigma2(sigma2)
     budget = CovertBudget.from_delta(n, delta)
-    return 2.0 * budget.lam * (1.0 + budget.lam) / (4.0 * budget.y) * sigma2
+    return _snr_from_lambda(budget.lam, budget.y) * sigma2
 
 
 def p_suf(n: int, delta: float, sigma2: float = 1.0) -> float:
@@ -97,7 +102,7 @@ def p_suf(n: int, delta: float, sigma2: float = 1.0) -> float:
     """
     _check_sigma2(sigma2)
     budget = CovertBudget.from_delta(n, delta)
-    return 2.0 * budget.lam1 * (1.0 + budget.lam1) / (4.0 * budget.y0) * sigma2
+    return _snr_from_lambda(budget.lam1, budget.y0) * sigma2
 
 
 def p_exact(n: int, delta: float, sigma2: float = 1.0, rel_tol: float = 1e-10) -> PowerInterval:
@@ -110,23 +115,27 @@ def p_exact(n: int, delta: float, sigma2: float = 1.0, rel_tol: float = 1e-10) -
     From a regula-falsi start, each iterate's distance shrinks the
     bracket, and a Newton step that would leave the bracket is replaced by
     bisection.  Iteration stops once the step or the bracket is below
-    rel_tol relative.
+    rel_tol relative.  Distances come from tvd._tvd_value, the scalar
+    kernel behind tvd_exact.
     """
     _check_sigma2(sigma2)
+    budget = CovertBudget.from_delta(n, delta)
+    n = budget.n
     # bracket in snr units (sigma2 = 1), scale the results at the end
-    suf = p_suf(n, delta)
-    nec = p_nec(n, delta)
+    suf = _snr_from_lambda(budget.lam1, budget.y0)
+    nec = _snr_from_lambda(budget.lam, budget.y)
     lo, hi = suf, nec
-    f_lo = tvd_exact(ChannelPoint(n=n, theta=lo)).value - delta
-    f_hi = tvd_exact(ChannelPoint(n=n, theta=hi)).value - delta
+    f_lo = _tvd_value(n, lo) - delta
+    f_hi = _tvd_value(n, hi) - delta
     if f_lo > 0.0 or f_hi < 0.0:
         raise ConsistencyError(
             f"exact TVD not bracketed by [p_suf, p_nec] at n={n}, delta={delta}: "
             f"endpoints deviate by ({f_lo:+.3e}, {f_hi:+.3e})"
         )
+    log_norm = math.lgamma(0.5 * n)
     theta = lo - f_lo * (hi - lo) / (f_hi - f_lo) if f_hi > f_lo else lo
     while True:
-        resid = tvd_exact(ChannelPoint(n=n, theta=theta)).value - delta
+        resid = _tvd_value(n, theta) - delta
         if resid == 0.0:
             break
         if resid < 0.0:
@@ -134,7 +143,7 @@ def p_exact(n: int, delta: float, sigma2: float = 1.0, rel_tol: float = 1e-10) -
         else:
             hi = theta
         # theta - ln(1 + theta) rounds to 0 below theta ~ 1e-16, and so can the slope
-        slope = _tvd_slope(n, theta)
+        slope = _tvd_slope(n, theta, log_norm)
         step = resid / slope if slope > 0.0 else math.inf
         if not lo < theta - step < hi:
             step = theta - 0.5 * (lo + hi)
@@ -144,14 +153,14 @@ def p_exact(n: int, delta: float, sigma2: float = 1.0, rel_tol: float = 1e-10) -
     return PowerInterval(p_suf=suf * sigma2, p_exact=theta * sigma2, p_nec=nec * sigma2)
 
 
-def _tvd_slope(n: int, theta: float) -> float:
-    """dV/dtheta = p_a(f) f' - p_a(g) g' at a = n/2, p_a the Gamma(a) density."""
+def _tvd_slope(n: int, theta: float, log_norm: float) -> float:
+    """dV/dtheta = p_a(f) f' - p_a(g) g' at a = n/2, p_a the Gamma(a) density
+    with log_norm = lgamma(a)."""
     a = 0.5 * n
-    pair = fg(ChannelPoint(n=n, theta=theta))
+    f, g = _fg(n, theta)
     log1p_theta = math.log1p(theta)
-    log_norm = math.lgamma(a)
-    dens_f = math.exp((a - 1.0) * math.log(pair.f) - pair.f - log_norm)
-    dens_g = math.exp((a - 1.0) * math.log(pair.g) - pair.g - log_norm)
+    dens_f = math.exp((a - 1.0) * math.log(f) - f - log_norm)
+    dens_g = math.exp((a - 1.0) * math.log(g) - g - log_norm)
     df = a * (theta - log1p_theta) / (theta * theta)
     dg = a * (theta / (1.0 + theta) - log1p_theta) / (theta * theta)
     return dens_f * df - dens_g * dg

@@ -197,8 +197,11 @@ def achievability_na(
     return _report(KIND_ACH_NA, eps, first, second, logn)
 
 
-def _full_core(n: int, eps: float, P: float, mu: float, R: float) -> tuple[float, float, float]:
-    """tau0-independent part of the full achievability bound at shell rate R.
+def _full_core(
+    n: int, eps: float, P: float, mu: float, R: float, delta_mass: float
+) -> tuple[float, float, float]:
+    """tau0-independent part of the full achievability bound at shell rate R,
+    given the shell mass delta_mass = truncation_mass(n, mu).
 
     Returns (first, second, rest) where first is the capacity-scale term
     n C_mu + n (R - mu P) log2(e) / (2 (1 + mu P)), second the signed
@@ -216,7 +219,6 @@ def _full_core(n: int, eps: float, P: float, mu: float, R: float) -> tuple[float
     first = n * capacity(mu * P) + n * (R - mu * P) * LOG2E / (2.0 * (1.0 + mu * P))
     second = math.sqrt(n * v) * q_inv(arg)
     remainder = math.log2(2.0 * math.log(2.0) / math.sqrt(2.0 * math.pi * v) + 4.0 * B)
-    delta_mass = truncation_mass(n, mu)
     if delta_mass <= 0.0:
         raise DomainError(f"codeword shell has vanishing mass at n={n}, mu={mu}")
     rest = 0.5 * math.log2(n) + math.log2(delta_mass) - remainder
@@ -242,8 +244,12 @@ def achievability_full(n: int, eps: float, P: float, mu: float) -> ThroughputRep
     if P == 0.0:
         raise DomainError("full achievability bound degenerate at P = 0")
 
+    # independent of R; a vanishing mass is reported only after the
+    # Berry-Esseen check in _full_core, so RegimeError keeps precedence
+    delta_mass = truncation_mass(n, mu)
+
     def objective(R: float) -> float:
-        return sum(_full_core(n, eps, P, mu, R))
+        return sum(_full_core(n, eps, P, mu, R, delta_mass))
 
     lo, hi = mu * mu * P, P
     x1 = hi - _GOLDEN * (hi - lo)
@@ -262,7 +268,7 @@ def achievability_full(n: int, eps: float, P: float, mu: float) -> ThroughputRep
             f1 = objective(x1)
     r_star = 0.5 * (lo + hi)
 
-    first, second, rest = _full_core(n, eps, P, mu, r_star)
+    first, second, rest = _full_core(n, eps, P, mu, r_star, delta_mass)
     log_tau0 = math.log2(eps) - (6.0 / 50.0) * math.log2(10.0)
     return _report(KIND_ACH_FULL, eps, first, second, rest + log_tau0)
 

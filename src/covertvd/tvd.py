@@ -21,7 +21,13 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .expansions import _gamma_series_lower, _gamma_series_upper, _transition_sum, phi_transition
+from .expansions import (
+    _gamma_series_lower,
+    _gamma_series_upper,
+    _transition_sum,
+    coeffs_c,
+    phi_transition,
+)
 from .special import reg_lower_gamma, reg_upper_gamma
 from .types import (
     METHOD_EXACT,
@@ -44,14 +50,20 @@ class FgPair:
     g: float
 
 
+def _fg(n: int, theta: float) -> tuple[float, float]:
+    """(f, g) at blocklength n and snr theta; f = g = n/2 at theta = 0."""
+    half = 0.5 * n
+    if theta == 0.0:
+        return half, half
+    ratio = math.log1p(theta) / theta
+    return half * (1.0 + theta) * ratio, half * ratio
+
+
 def fg(point: ChannelPoint) -> FgPair:
     """Argument pair (f, g) for the channel point; continuous limit
     f = g = n/2 at theta = 0."""
-    half = 0.5 * point.n
-    if point.theta == 0.0:
-        return FgPair(f=half, g=half)
-    ratio = math.log1p(point.theta) / point.theta
-    return FgPair(f=half * (1.0 + point.theta) * ratio, g=half * ratio)
+    f, g = _fg(point.n, point.theta)
+    return FgPair(f=f, g=g)
 
 
 def log_tail_weight(n: int, z: float) -> float:
@@ -65,13 +77,23 @@ def log_tail_weight(n: int, z: float) -> float:
     return half - z + half * math.log(z / half)
 
 
+def _tvd_value(n: int, theta: float) -> float:
+    """V = P(n/2, f) - P(n/2, g) clamped to [0, 1], for an (n, theta) the
+    caller has already validated as a ChannelPoint would.
+
+    The one exact-distance kernel: tvd_exact wraps it in a TvdEvaluation,
+    and the solvers and sweeps that evaluate V many times call it directly.
+    """
+    f, g = _fg(n, theta)
+    half = 0.5 * n
+    value = reg_lower_gamma(half, f) - reg_lower_gamma(half, g)
+    return min(1.0, max(0.0, value))
+
+
 def tvd_exact(point: ChannelPoint) -> TvdEvaluation:
     """Exact TVD via the regularized incomplete gamma difference."""
-    pair = fg(point)
-    half = 0.5 * point.n
-    value = reg_lower_gamma(half, pair.f) - reg_lower_gamma(half, pair.g)
     return TvdEvaluation(
-        value=min(1.0, max(0.0, value)),
+        value=_tvd_value(point.n, point.theta),
         method=METHOD_EXACT,
         terms_used=0,
         err_estimate=_BASELINE_PRECISION,
@@ -84,18 +106,18 @@ def tvd_complement(point: ChannelPoint) -> float:
     Exact even when the distance saturates at 1 to double precision
     (complements down to ~1e-300); the rate-fit sweeps rely on this.
     """
-    pair = fg(point)
+    f, g = _fg(point.n, point.theta)
     half = 0.5 * point.n
-    return reg_upper_gamma(half, pair.f) + reg_lower_gamma(half, pair.g)
+    return reg_upper_gamma(half, f) + reg_lower_gamma(half, g)
 
 
 def _series_transition(point: ChannelPoint, K: int) -> tuple[float, int]:
     """Transition-regime approximation [Gamma(a+1,g) - Gamma(a+1,f)]/Gamma(a+1)
     with a = n/2 - 1: one transition sum over the Phi differences at g and f."""
     a = 0.5 * point.n - 1.0
-    pair = fg(point)
-    phi_g = phi_transition(a, pair.g, K).values
-    phi_f = phi_transition(a, pair.f, K).values
+    f, g = _fg(point.n, point.theta)
+    phi_g = phi_transition(a, g, K).values
+    phi_f = phi_transition(a, f, K).values
     return _transition_sum(a, [pg - pf for pg, pf in zip(phi_g, phi_f)]), K + 1
 
 
@@ -103,9 +125,10 @@ def _series_linear(point: ChannelPoint, K: int) -> tuple[float, int]:
     """Low-exponent approximation 1 - Gamma(a+1,f)/Gamma(a+1) - gamma(a+1,g)/Gamma(a+1)
     from the upper expansion at f and the lower expansion at g, a = n/2 - 1."""
     a = 0.5 * point.n - 1.0
-    pair = fg(point)
-    upper, terms_f = _gamma_series_upper(a, pair.f, K)
-    lower, terms_g = _gamma_series_lower(a, pair.g, K)
+    f, g = _fg(point.n, point.theta)
+    cf = coeffs_c(a, K)
+    upper, terms_f = _gamma_series_upper(cf, f)
+    lower, terms_g = _gamma_series_lower(cf, g)
     return 1.0 - upper - lower, max(terms_f, terms_g)
 
 

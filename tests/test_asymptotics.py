@@ -19,6 +19,7 @@ from covertvd.asymptotics import (
 )
 from covertvd.divergences import kl_divergences
 from covertvd.errors import DomainError, FitError
+from covertvd.tvd import tvd_exact
 from covertvd.types import ChannelPoint
 
 
@@ -140,6 +141,23 @@ class TestKlSmallThetaScaling:
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
         assert 0.9 < ratios[0] < 1.0
         assert ratios[-1] > 0.99
+
+
+class TestKernelParity:
+    """The sweeps evaluate V through the scalar kernel behind tvd_exact,
+    so their values equal tvd_exact's exactly."""
+
+    GRID = default_n_grid(1, 10**6, 40)
+
+    @pytest.mark.parametrize("tau", (0.05, 0.3, 0.5, 0.7, 0.98))
+    def test_sweep_points_equal_tvd_exact(self, tau):
+        expected = tuple((n, tvd_exact(ChannelPoint.from_tau(n, tau)).value) for n in self.GRID)
+        assert sweep_tvd(tau, self.GRID).points == expected
+
+    @pytest.mark.parametrize("c", (0.3, 1.0, 4.0))
+    def test_stationarity_equals_tvd_exact_spread(self, c):
+        vals = [tvd_exact(ChannelPoint(n=n, theta=c / math.sqrt(n))).value for n in self.GRID]
+        assert stationarity_check(self.GRID, c) == max(vals) - min(vals)
 
 
 class TestStationarity:

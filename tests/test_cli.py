@@ -107,6 +107,14 @@ COMMANDS = st.one_of(
 )
 
 
+class TestLargeSnrBounds:
+    @pytest.mark.parametrize("theta", ("1e16", "1e30", "1e200"))
+    def test_bounds_exit_ok(self, capsys, theta):
+        code, _, err = run_cli(capsys, "bounds", "--n", "100", "--theta", theta)
+        assert code == EXIT_OK, err
+        assert "Traceback" not in err
+
+
 class TestContract:
     @given(argv=COMMANDS)
     @settings(max_examples=200, deadline=None)

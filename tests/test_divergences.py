@@ -1,6 +1,7 @@
 """Closed-form divergences, the TVD sandwich bounds, and their orderings
 against the exact distance."""
 
+import dataclasses
 import math
 
 import pytest
@@ -104,6 +105,25 @@ class TestTvdBounds:
         assert tvd_bounds(point).pinsker_upper == pytest.approx(
             math.sqrt(0.5 * fwd_nats), rel=1e-14
         )
+
+
+class TestLargeSnr:
+    """Above theta = 10 the Hellinger base is taken in log terms, since
+    1 - r^2 cancels there and r^2 rounds to 1 from theta ~ 1e16."""
+
+    def test_hand_value_above_switch(self):
+        # n=2, theta=14: base 4*15/16^2 = 15/64, H^2 = 1 - sqrt(15/64)
+        rep = tvd_bounds(ChannelPoint(n=2, theta=14.0))
+        assert rep.hellinger_sq == pytest.approx(1.0 - math.sqrt(15.0 / 64.0), rel=1e-14)
+        assert rep.sason_upper == pytest.approx(math.sqrt(1.0 - 15.0 / 64.0), rel=1e-14)
+
+    @pytest.mark.parametrize("theta", (1e16, 1e30, 1e200))
+    def test_bounds_finite(self, theta):
+        point = ChannelPoint(n=100, theta=theta)
+        rep = tvd_bounds(point)
+        assert all(math.isfinite(v) for v in dataclasses.astuple(rep))
+        assert 0.0 <= hellinger_sq(point) == rep.hellinger_sq <= 1.0
+        assert rep.hellinger_sq <= tvd_exact(point).value <= rep.sason_upper
 
 
 class TestKlBetaLower:

@@ -234,7 +234,7 @@ class TestGammaSeriesUpper:
         a = 499.0
         stops = []
         for mult in (2.0, 5.0, 8.0):
-            terms = _upper_terms(a, a + mult * math.sqrt(a), 24)
+            terms = _upper_terms(coeffs_c(a, 24), a + mult * math.sqrt(a))
             stops.append(_sum_optimal(terms)[1])
         assert all(b >= s for s, b in zip(stops, stops[1:]))
         assert stops[-1] > stops[0]
@@ -303,6 +303,6 @@ def test_lower_terms_match_coefficient_phi_product():
     a, z = 499.0, 432.0
     cf = coeffs_c(a, 6)
     phi = phi_linear(a, z, 6)
-    terms = _lower_terms(a, z, 6)
+    terms = _lower_terms(cf, z)
     for t, ck, pk in zip(terms, cf.c, phi.values):
         assert t == ck * pk

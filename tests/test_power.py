@@ -6,9 +6,9 @@ import pytest
 
 import covertvd.power
 from covertvd.divergences import hellinger_sq, tvd_bounds
-from covertvd.errors import DomainError
+from covertvd.errors import ConsistencyError, DomainError
 from covertvd.power import CovertBudget, p_exact, p_nec, p_suf
-from covertvd.tvd import tvd_exact
+from covertvd.tvd import _tvd_value, tvd_exact
 from covertvd.types import ChannelPoint
 
 
@@ -137,13 +137,28 @@ class TestPExact:
     def test_newton_call_count_and_residual(self, monkeypatch, n, delta):
         calls = []
 
-        def counting_tvd_exact(point):
-            calls.append(point.theta)
-            return tvd_exact(point)
+        def counting_tvd_value(n, theta):
+            calls.append(theta)
+            return _tvd_value(n, theta)
 
-        monkeypatch.setattr(covertvd.power, "tvd_exact", counting_tvd_exact)
+        monkeypatch.setattr(covertvd.power, "_tvd_value", counting_tvd_value)
         interval = p_exact(n, delta)
         assert len(calls) <= 10
         assert interval.p_suf <= interval.p_exact <= interval.p_nec
         achieved = tvd_exact(ChannelPoint(n=n, theta=interval.p_exact)).value
         assert abs(achieved - delta) <= 1e-8 * delta
+
+    @pytest.mark.parametrize("shift", (0.5, -1.0))
+    def test_unbracketed_root_raises(self, monkeypatch, shift):
+        # +0.5 lifts V(p_suf) above delta, -1 drops V(p_nec) below it
+        monkeypatch.setattr(
+            covertvd.power, "_tvd_value", lambda n, theta: _tvd_value(n, theta) + shift
+        )
+        with pytest.raises(ConsistencyError, match="not bracketed"):
+            p_exact(2000, 0.1)
+
+    @pytest.mark.parametrize("n", (1, 500, 10**6))
+    def test_interval_matches_closed_forms(self, n):
+        interval = p_exact(n, 0.1, sigma2=2.5)
+        assert interval.p_suf == p_suf(n, 0.1, sigma2=2.5)
+        assert interval.p_nec == p_nec(n, 0.1, sigma2=2.5)

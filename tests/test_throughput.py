@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, norm
 
+import covertvd.throughput
 from covertvd.errors import DomainError, RegimeError
 from covertvd.throughput import (
     KIND_ACH_FULL,
@@ -173,6 +174,24 @@ class TestAchievabilityFull:
     def test_zero_power_rejected(self):
         with pytest.raises(DomainError):
             achievability_full(2000, 0.1, 0.0, 0.8)
+
+    def test_shell_mass_computed_once(self, monkeypatch):
+        calls = []
+
+        def counting_mass(n, mu):
+            calls.append((n, mu))
+            return truncation_mass(n, mu)
+
+        monkeypatch.setattr(covertvd.throughput, "truncation_mass", counting_mass)
+        achievability_full(50000, 0.1, 0.0224, 0.8)
+        assert calls == [(50000, 0.8)]
+
+    def test_vacuous_regime_reported_before_vanishing_mass(self, monkeypatch):
+        monkeypatch.setattr(covertvd.throughput, "truncation_mass", lambda n, mu: 0.0)
+        with pytest.raises(RegimeError):
+            achievability_full(2000, 1e-3, 0.0224, 0.8)
+        with pytest.raises(DomainError, match="vanishing mass"):
+            achievability_full(50000, 0.1, 0.0224, 0.8)
 
 
 class TestCovertThroughputBounds:

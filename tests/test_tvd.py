@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import covertvd.tvd
 from covertvd.errors import DomainError
+from covertvd.expansions import coeffs_c
 from covertvd.tvd import (
     _BASELINE_PRECISION,
     fg,
@@ -111,6 +113,18 @@ class TestTvdSeries:
         ev = tvd_series(point, K=20)
         assert ev.method == METHOD_SERIES_LOW
         assert ev.err_estimate <= 1e-2
+
+    def test_low_branch_builds_coefficients_once(self, monkeypatch):
+        calls = []
+
+        def counting_coeffs(a, K):
+            calls.append((a, K))
+            return coeffs_c(a, K)
+
+        monkeypatch.setattr(covertvd.tvd, "coeffs_c", counting_coeffs)
+        ev = tvd_series(ChannelPoint.from_tau(5000, 0.3), K=20)
+        assert ev.method == METHOD_SERIES_LOW
+        assert calls == [(2499.0, 20)]
 
     def test_err_estimate_is_deviation_from_exact(self):
         point = ChannelPoint.from_tau(2000, 0.7)
