@@ -8,20 +8,27 @@ chi2_cdf        : central chi-square CDF with n degrees of freedom
 erfc            : complementary error function
 q_fn, q_inv     : standard normal tail probability and its inverse
 
-P(a, z) and Q(a, z) are scipy.special.gammainc / gammaincc, which switch
-to Temme's uniform asymptotic expansion for large a near the transition
+P(a, z) and Q(a, z) are scipy's gammainc / gammaincc, which switch to
+Temme's uniform asymptotic expansion for large a near the transition
 z ~ a (DiDonato & Morris, ACM TOMS 12, 1986), so shape parameters up to
-a ~ 5e5 (blocklengths to 1e6) cost a few microseconds and stay smooth in
-z.  Each side is evaluated directly, so tiny tails keep full relative
-precision.  The wrappers validate their arguments (DomainError) and raise
-AccuracyError rather than pass on a non-finite result.
+a ~ 5e5 (blocklengths to 1e6) stay smooth in z.  Each side is evaluated
+directly, so tiny tails keep full relative precision.  The wrappers
+validate their arguments (DomainError) and raise AccuracyError rather than
+pass on a non-finite result.
+
+gammainc, gammaincc and ndtri are bound from scipy.special.cython_special,
+scipy's compiled scalar API: the same C routines as the scipy.special
+ufuncs, with the same bits, but called with Python floats and returning a
+Python float, without the ufunc's type resolution and 0-d array boxing
+(about 0.3 us per call instead of about 1.5 us).  Loading it costs about
+4 ms more import time and about 1 MB more resident memory.
 """
 
 from __future__ import annotations
 
 import math
 
-from scipy.special import gammainc, gammaincc, ndtri
+from scipy.special.cython_special import gammainc, gammaincc, ndtri
 
 from .errors import AccuracyError, DomainError
 from .types import check_int
@@ -39,7 +46,6 @@ def _check_gamma_args(a: float, z: float) -> None:
 
 
 def _finite(value: float, name: str, a: float, z: float) -> float:
-    value = float(value)
     if not math.isfinite(value):
         raise AccuracyError(f"{name} returned {value!r} at a={a!r}, z={z!r}")
     return value
@@ -90,4 +96,4 @@ def q_inv(p: float) -> float:
     """Inverse of the normal tail: the x with Q(x) = p, for p in (0, 1)."""
     if not (math.isfinite(p) and 0.0 < p < 1.0):
         raise DomainError(f"tail probability must lie in (0, 1), got {p!r}")
-    return -float(ndtri(p))
+    return -ndtri(p)

@@ -56,7 +56,12 @@ def _fg(n: int, theta: float) -> tuple[float, float]:
     if theta == 0.0:
         return half, half
     ratio = math.log1p(theta) / theta
-    return half * (1.0 + theta) * ratio, half * ratio
+    f = half * (1.0 + theta) * ratio
+    if f == math.inf:
+        # (n/2)(1 + theta) overflowed although f ~ (n/2) ln(1 + theta) is
+        # finite; regrouping only here keeps every finite f bit-identical
+        f = half * ((1.0 + theta) * ratio)
+    return f, half * ratio
 
 
 def fg(point: ChannelPoint) -> FgPair:
@@ -156,5 +161,5 @@ def tvd_series(point: ChannelPoint, K: int = 20) -> TvdEvaluation:
         value=value,
         method=method,
         terms_used=terms,
-        err_estimate=abs(value - tvd_exact(point).value),
+        err_estimate=abs(value - _tvd_value(point.n, point.theta)),
     )

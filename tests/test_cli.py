@@ -108,11 +108,19 @@ COMMANDS = st.one_of(
 
 
 class TestLargeSnrBounds:
-    @pytest.mark.parametrize("theta", ("1e16", "1e30", "1e200"))
+    @pytest.mark.parametrize("theta", ("1e16", "1e30", "1e200", "1e308"))
     def test_bounds_exit_ok(self, capsys, theta):
         code, _, err = run_cli(capsys, "bounds", "--n", "100", "--theta", theta)
         assert code == EXIT_OK, err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("n", ("100", "1000000"))
+    @pytest.mark.parametrize("theta", ("1e308", "1.7e308"))
+    def test_tvd_saturates_where_n_theta_overflows(self, capsys, n, theta):
+        # (n/2)(1 + theta) overflows here although f stays finite
+        code, out, err = run_cli(capsys, "tvd", "--n", n, "--theta", theta, "--format", "json")
+        assert code == EXIT_OK, err
+        assert json.loads(out)[0]["value"] == 1.0
 
 
 class TestContract:

@@ -2,7 +2,9 @@
 
 import math
 
+import numpy as np
 import pytest
+import scipy.special as sc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -71,6 +73,50 @@ class TestRegLowerGamma:
         monkeypatch.setattr(special, kernel, lambda a, z: math.nan)
         with pytest.raises(AccuracyError, match=kernel):
             wrapper(50.0, 49.0)
+
+
+class TestUfuncParity:
+    """The wrappers call scipy's compiled scalar API; its values must be
+    those of the scipy.special ufuncs bit for bit over the whole domain."""
+
+    @staticmethod
+    def gamma_pairs():
+        rng = np.random.default_rng(2020)
+        a = 10.0 ** rng.uniform(-1.0, math.log10(5e5), 500)
+        root = np.sqrt(a)
+        zs = (
+            np.zeros_like(a),
+            a,
+            a * rng.uniform(0.0, 2.0, a.size),  # bulk
+            np.maximum(a + root * rng.uniform(-3.0, 3.0, a.size), 0.0),  # near z = a
+            a * 10.0 ** rng.uniform(-300.0, -1.0, a.size),  # lower tail
+            a * 10.0 ** rng.uniform(0.3, 3.0, a.size),  # upper tail
+        )
+        return np.tile(a, len(zs)), np.concatenate(zs)
+
+    def test_incomplete_gamma(self):
+        a, z = self.gamma_pairs()
+        lower, upper = sc.gammainc(a, z), sc.gammaincc(a, z)
+        for i, (ai, zi) in enumerate(zip(a.tolist(), z.tolist())):
+            assert reg_lower_gamma(ai, zi) == lower[i], (ai, zi)
+            assert reg_upper_gamma(ai, zi) == upper[i], (ai, zi)
+
+    def test_chi2_cdf(self):
+        rng = np.random.default_rng(2021)
+        n = np.rint(10.0 ** rng.uniform(0.0, 6.0, 2000)).astype(int)
+        x = n * 10.0 ** rng.uniform(-2.0, 1.0, n.size)
+        expected = sc.gammainc(0.5 * n, 0.5 * x)
+        for i, (ni, xi) in enumerate(zip(n.tolist(), x.tolist())):
+            assert chi2_cdf(ni, xi) == expected[i], (ni, xi)
+
+    def test_q_inv(self):
+        rng = np.random.default_rng(2022)
+        p = np.concatenate((10.0 ** rng.uniform(-300.0, 0.0, 1500),
+                            rng.uniform(0.0, 1.0, 500)))
+        p = p[(p > 0.0) & (p < 1.0)]
+        expected = -sc.ndtri(p)
+        for i, pi in enumerate(p.tolist()):
+            assert q_inv(pi) == expected[i], pi
 
 
 class TestChi2Cdf:

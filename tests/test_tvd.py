@@ -89,6 +89,27 @@ class TestTvdExact:
             1.0 - tvd_exact(point).value, abs=1e-12
         )
 
+    def test_monotone_in_theta_at_relative_steps(self):
+        # V(n, theta(1 + 1e-6)) >= V(n, theta) with n log-uniform on
+        # [1, 1e6] and theta = n^-tau; catches kernel jumps between
+        # neighbouring snr values
+        rng = np.random.default_rng(20201)
+        ns = np.rint(10.0 ** rng.uniform(0.0, 6.0, 2000)).astype(int)
+        taus = rng.uniform(0.05, 0.99, 2000)
+        for n, tau in zip(ns.tolist(), taus.tolist()):
+            theta = float(n) ** (-tau)
+            lo = tvd_exact(ChannelPoint(n=n, theta=theta)).value
+            hi = tvd_exact(ChannelPoint(n=n, theta=theta * (1.0 + 1e-6))).value
+            assert hi >= lo, (n, tau)
+
+    def test_finite_where_half_n_times_snr_overflows(self):
+        for n in (100, 10**6):
+            for theta in (1e308, 1.7e308):
+                point = ChannelPoint(n=n, theta=theta)
+                pair = fg(point)
+                assert pair.f == pytest.approx(0.5 * n * math.log(theta), rel=1e-12)
+                assert tvd_exact(point).value == 1.0
+
     def test_complement_survives_saturation(self):
         # distance saturates at 1.0 in doubles; the complement stays resolvable
         point = ChannelPoint.from_tau(100000, 0.2)
@@ -132,6 +153,14 @@ class TestTvdSeries:
         assert ev.err_estimate == pytest.approx(
             abs(ev.value - tvd_exact(point).value), abs=1e-15
         )
+
+    def test_err_estimate_skips_tvd_exact(self, monkeypatch):
+        # the reference value comes from the scalar kernel, not from a
+        # TvdEvaluation built only to read its value
+        point = ChannelPoint.from_tau(2000, 0.7)
+        expected = tvd_series(point)
+        monkeypatch.setattr(covertvd.tvd, "tvd_exact", None)
+        assert tvd_series(point) == expected
 
     def test_vanishes_with_snr(self):
         # tau_eff > 1/2 for tiny theta; both transition sums collapse
