@@ -158,10 +158,10 @@ def _cmd_sweep(args) -> list[dict]:
 
 def _cmd_mc(args) -> list[dict]:
     point = _resolve_point(args)
-    est = oracles.simulate_test(point, m=args.m, seed=args.seed, shards=args.shards)
+    est = oracles.simulate_test(point, m=args.m, seed=args.seed)
     return [{
         "n": point.n, "sigma2": point.sigma2, "theta": point.theta,
-        "m": est.samples, "seed": est.seed, "shards": args.shards,
+        "m": est.samples, "seed": est.seed,
         "alpha_hat": est.alpha_hat, "beta_hat": est.beta_hat,
         "tvd_hat": est.tvd_hat, "std_err": est.std_err,
         "tvd_exact": tvd.tvd_exact(point).value,
@@ -283,9 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mc", help="seeded Monte Carlo detection test")
     _add_point_flags(p)
-    p.add_argument("--m", type=int, required=True, help="samples per hypothesis")
+    p.add_argument("--m", type=int, required=True,
+                   help="trials (each gives one energy per hypothesis)")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--shards", type=int, default=1)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_mc)
 

@@ -139,8 +139,7 @@ def phi_linear(a: float, z: float, K: int) -> PhiSequence:
     Phi_0 = (e^(z-a) - 1)/(z - a).
 
     phi_linear_closed_form is the literal reference sum it is tested
-    against; the decay |Phi_k| = O(|z-a|^(-k-1)) can be inspected with
-    phi_decay_ratios.
+    against.
     """
     _check_shape(a)
     _check_order(K)
@@ -152,19 +151,6 @@ def phi_linear(a: float, z: float, K: int) -> PhiSequence:
     for k in range(1, K + 1):
         values.append((ew - k * values[k - 1]) / w)
     return PhiSequence(values=tuple(values), a=a, z=z)
-
-
-def phi_decay_ratios(seq: PhiSequence) -> tuple[float, ...]:
-    """Diagnostic ratios |Phi_k| |z-a|^(k+1) / k!; bounded when the stated
-    decay |Phi_k| = O(|z-a|^(-k-1)) holds."""
-    w = abs(seq.z - seq.a)
-    out = []
-    fact = 1.0
-    for k, v in enumerate(seq.values):
-        if k > 0:
-            fact *= k
-        out.append(abs(v) * w ** (k + 1) / fact)
-    return tuple(out)
 
 
 def phi_transition(a: float, z: float, K: int) -> PhiSequence:

@@ -21,8 +21,11 @@ class DetectionEstimate:
     """Empirical error probabilities of the radius-threshold test.
 
     alpha_hat is the false-alarm rate P0(||z||^2 > R^2), beta_hat the
-    missed-detection rate P1(||z||^2 <= R^2); std_err is the standard
-    error of alpha_hat + beta_hat (the summed indicator variance over m).
+    missed-detection rate P1(||z||^2 <= R^2), both over the same m trials
+    (see simulate_test).  The two events are disjoint in every trial, so
+    m (alpha_hat + beta_hat) is Binomial(m, alpha + beta) and std_err =
+    sqrt(p (1 - p) / m), p = alpha_hat + beta_hat, is the standard error
+    of alpha_hat + beta_hat and so of tvd_hat.
     """
 
     alpha_hat: float
@@ -49,56 +52,53 @@ def simulate_test(
     point: ChannelPoint,
     m: int,
     seed: int,
-    shards: int = 1,
+    *,
     threshold_sq: float | None = None,
 ) -> DetectionEstimate:
     """Monte Carlo estimate of (alpha, beta) for the radius-threshold test.
 
-    Draws m received energies under each hypothesis (the energy ||z||^2 is
-    chi-square distributed, sampled directly rather than materializing
-    n-vectors) and thresholds at R^2, ties assigned to the <= side.
-    Deterministic given (seed, m, shards): per-shard generators come from
-    SeedSequence(seed).spawn and integer counts are summed in shard order,
-    so the result is independent of the host.  threshold_sq overrides the
-    optimal R^2 (needed e.g. at theta = 0, where the optimal test is
-    degenerate).  m below ~1e4 is accepted; the imprecision shows up in
-    std_err rather than as an error.
+    Each of the m trials draws one chi-square variate X ~ chi2(n) (the
+    energy ||z||^2 / variance, sampled directly rather than materializing
+    n-vectors) and uses it under both hypotheses: the received energy is
+    sigma^2 X under H0 and sigma1^2 X under H1.  The test thresholds at
+    R^2, ties assigned to the <= side.  Each of alpha_hat and beta_hat is
+    an unbiased binomial proportion, as with independent draws, at half
+    the sampling cost.  Since sigma1^2 >= sigma^2, a trial can raise a
+    false alarm (sigma^2 X > R^2) or a miss (sigma1^2 X <= R^2) but not
+    both, whatever R^2, so the error count is Binomial(m, alpha + beta)
+    and std_err is its exact standard error (DetectionEstimate).
+
+    Deterministic given (seed, m): the m variates come from one generator,
+    PCG64(SeedSequence(seed).spawn(1)[0]), so the result is independent of
+    the host.  threshold_sq overrides the optimal R^2 (needed e.g. at
+    theta = 0, where the optimal test is degenerate and alpha_hat +
+    beta_hat = 1 exactly).  m below ~1e4 is accepted; the imprecision
+    shows up in std_err rather than as an error.
     """
     m = check_int(m, 1, "sample count must be a positive integer")
-    shards = check_int(shards, 1, "shard count must be a positive integer")
     seed = check_int(seed, 0, "seed must be a nonnegative integer")
     r2 = lrt_threshold(point) if threshold_sq is None else float(threshold_sq)
     if not (math.isfinite(r2) and r2 > 0.0):
         raise DomainError(f"threshold must be finite and positive, got {r2!r}")
 
-    sizes = [m // shards + (1 if i < m % shards else 0) for i in range(shards)]
-    false_alarms = 0
-    missed = 0
-    for child, size in zip(np.random.SeedSequence(seed).spawn(shards), sizes):
-        if size == 0:
-            continue
-        rng = np.random.Generator(np.random.PCG64(child))
-        energy0 = point.sigma2 * rng.chisquare(point.n, size=size)
-        false_alarms += int(np.count_nonzero(energy0 > r2))
-        energy1 = point.sigma1_sq * rng.chisquare(point.n, size=size)
-        missed += int(np.count_nonzero(energy1 <= r2))
-
-    alpha_hat = false_alarms / m
-    beta_hat = missed / m
-    var_sum = alpha_hat * (1.0 - alpha_hat) + beta_hat * (1.0 - beta_hat)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]))
+    x = rng.chisquare(point.n, size=m)
+    false_alarms = int(np.count_nonzero(point.sigma2 * x > r2))
+    missed = int(np.count_nonzero(point.sigma1_sq * x <= r2))
+    p = (false_alarms + missed) / m  # <= 1 exactly: the events are disjoint
     return DetectionEstimate(
-        alpha_hat=alpha_hat,
-        beta_hat=beta_hat,
+        alpha_hat=false_alarms / m,
+        beta_hat=missed / m,
         samples=m,
         seed=seed,
-        std_err=math.sqrt(var_sum / m),
+        std_err=math.sqrt(p * (1.0 - p) / m),
     )
 
 
-def tvd_monte_carlo(point: ChannelPoint, m: int, seed: int, shards: int = 1) -> TvdEvaluation:
+def tvd_monte_carlo(point: ChannelPoint, m: int, seed: int) -> TvdEvaluation:
     """simulate_test repackaged as a TvdEvaluation: value 1 - (alpha + beta)
     clamped to [0, 1], err_estimate the standard error, terms_used m."""
-    est = simulate_test(point, m=m, seed=seed, shards=shards)
+    est = simulate_test(point, m=m, seed=seed)
     return TvdEvaluation(
         value=min(1.0, max(0.0, est.tvd_hat)),
         method=METHOD_MONTE_CARLO,

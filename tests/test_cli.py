@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -75,7 +76,7 @@ class TestBudgetNearOne:
 
 
 # The documented domain: n <= 1e6, tau in (0, 1), delta in [1e-6, 1).  Sample
-# counts and shards stay small so no case allocates much or runs long.
+# counts stay small so no case allocates much or runs long.
 N = st.integers(1, 10**6)
 TAU = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 DELTA = st.floats(1e-6, 1.0, exclude_max=True)
@@ -101,9 +102,9 @@ COMMANDS = st.one_of(
     command("throughput", kind=st.just("ach-na"), n=N, eps=UNIT, power=UNIT, mu=UNIT, tau0=UNIT),
     command("throughput", kind=st.just("ach-full"), n=N, eps=UNIT, power=UNIT, mu=UNIT),
     command("sweep", tau=TAU, n_min=N, n_max=N, points=POINTS),
-    command("mc", n=N, tau=TAU, m=st.integers(1, 20000), seed=st.integers(0, 2**32),
-            shards=st.integers(1, 4)),
+    command("mc", n=N, tau=TAU, m=st.integers(1, 20000), seed=st.integers(0, 2**32)),
     command("fit-rate", tau=TAU, n_min=N, n_max=N, points=POINTS),
+    command("figures", seed=st.integers(-2**63, 2**63), format=st.sampled_from(["csv", "json"])),
 )
 
 
@@ -129,7 +130,13 @@ class TestContract:
     def test_every_subcommand_exits_cleanly(self, argv):
         # any escaping exception fails the test; the exit code must be a
         # documented one (success, domain or accuracy)
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with (
+            tempfile.TemporaryDirectory() as outdir,
+            contextlib.redirect_stdout(io.StringIO()),
+            contextlib.redirect_stderr(io.StringIO()),
+        ):
+            if argv[0] == "figures":
+                argv = argv + ["--outdir", outdir]
             code = main(argv)
         assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_ACCURACY), argv
 

@@ -16,7 +16,6 @@ from covertvd.expansions import (
     gamma_series_lower,
     gamma_series_transition,
     gamma_series_upper,
-    phi_decay_ratios,
     phi_linear,
     phi_linear_closed_form,
     phi_transition,
@@ -49,6 +48,19 @@ def c_defining_sum(a: int, k: int) -> float:
             rising *= Fraction(-a + (j - 1))
         total += rising / math.factorial(j) * Fraction(a) ** (k - j) / math.factorial(k - j)
     return float(total)
+
+
+def phi_decay_ratios(seq):
+    """Ratios |Phi_k| |z-a|^(k+1) / k!; bounded when the stated decay
+    |Phi_k| = O(|z-a|^(-k-1)) holds."""
+    w = abs(seq.z - seq.a)
+    out = []
+    fact = 1.0
+    for k, v in enumerate(seq.values):
+        if k > 0:
+            fact *= k
+        out.append(abs(v) * w ** (k + 1) / fact)
+    return tuple(out)
 
 
 class TestCoeffs:

@@ -3,9 +3,11 @@ evaluation path."""
 
 import math
 import os
+import statistics
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 import scipy.integrate
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 import covertvd
 from covertvd.errors import AccuracyError, DomainError
 from covertvd.oracles import lrt_threshold, simulate_test, tvd_monte_carlo, tvd_quadrature
+from covertvd.special import reg_lower_gamma, reg_upper_gamma
 from covertvd.tvd import fg, tvd_exact
 from covertvd.types import METHOD_MONTE_CARLO, METHOD_QUADRATURE, ChannelPoint
 
@@ -55,13 +58,6 @@ class TestSimulateTest:
         a = simulate_test(point, m=20000, seed=123)
         b = simulate_test(point, m=20000, seed=124)
         assert (a.alpha_hat, a.beta_hat) != (b.alpha_hat, b.beta_hat)
-
-    def test_sharded_run_deterministic(self):
-        point = ChannelPoint(n=200, theta=0.2)
-        a = simulate_test(point, m=20001, seed=9, shards=4)
-        b = simulate_test(point, m=20001, seed=9, shards=4)
-        assert a == b
-        assert a.samples == 20001
 
     def test_identical_hypotheses_sum_to_one(self):
         # theta = 0 has no optimal threshold; any fixed one gives
@@ -106,11 +102,66 @@ class TestSimulateTest:
         assert ev.terms_used == 10**5
 
     def test_std_err_formula(self):
+        # one draw per trial: the error count is Binomial(m, alpha + beta)
         est = simulate_test(ChannelPoint(n=100, theta=0.3), m=50000, seed=5)
-        manual = math.sqrt(
-            (est.alpha_hat * (1 - est.alpha_hat) + est.beta_hat * (1 - est.beta_hat)) / est.samples
-        )
+        p = round((est.alpha_hat + est.beta_hat) * est.samples) / est.samples
+        manual = math.sqrt(p * (1 - p) / est.samples)
         assert est.std_err == pytest.approx(manual, rel=1e-15)
+
+    @pytest.mark.parametrize("point", [
+        ChannelPoint.from_tau(10**3, 0.5),
+        ChannelPoint.from_tau(10**5, 0.7),
+        ChannelPoint.from_tau(10**6, 0.9),
+        ChannelPoint(n=100, theta=0.3),
+        ChannelPoint(n=500, theta=0.1),
+    ])
+    def test_std_err_matches_spread_over_seeds(self, point):
+        # std_err must be the true standard error of tvd_hat: under the
+        # coupling the independent-draw formula claims 20x the spread at
+        # n = 1e6, tau = 0.9, and with independent draws the coupled
+        # formula claims far too little
+        runs = [simulate_test(point, m=10**4, seed=seed) for seed in range(200)]
+        spread = statistics.pstdev(est.tvd_hat for est in runs)
+        claimed = statistics.fmean(est.std_err for est in runs)
+        assert 0.8 <= spread / claimed <= 1.25
+
+    @pytest.mark.parametrize("point", [
+        ChannelPoint(n=500, theta=0.1),
+        ChannelPoint.from_tau(10**6, 0.9),
+        ChannelPoint(n=200, sigma2=2.5, theta=0.2),
+    ])
+    def test_marginals_match_exact_error_probabilities(self, point):
+        # alpha = Q(n/2, f) and beta = P(n/2, g), each a binomial proportion
+        m = 10**6
+        est = simulate_test(point, m=m, seed=42)
+        pair = fg(point)
+        alpha = reg_upper_gamma(0.5 * point.n, pair.f)
+        beta = reg_lower_gamma(0.5 * point.n, pair.g)
+        assert abs(est.alpha_hat - alpha) <= 4.0 * math.sqrt(alpha * (1 - alpha) / m)
+        assert abs(est.beta_hat - beta) <= 4.0 * math.sqrt(beta * (1 - beta) / m)
+
+    @pytest.mark.parametrize("seed", (0, 9, 2**32))
+    def test_one_chisquare_stream_serves_both_hypotheses(self, seed):
+        # pins the stream: m variates of one SeedSequence child, used once
+        point = ChannelPoint(n=200, sigma2=2.5, theta=0.2)
+        m = 20001
+        est = simulate_test(point, m=m, seed=seed)
+        child = np.random.SeedSequence(seed).spawn(1)[0]
+        x = np.random.Generator(np.random.PCG64(child)).chisquare(point.n, m)
+        r2 = lrt_threshold(point)
+        assert est.alpha_hat == np.count_nonzero(point.sigma2 * x > r2) / m
+        assert est.beta_hat == np.count_nonzero(point.sigma1_sq * x <= r2) / m
+
+    def test_error_events_are_disjoint(self):
+        # alpha_hat + beta_hat <= 1 at any threshold, and = 1 with no
+        # sampling error when the hypotheses coincide
+        point = ChannelPoint(n=50, theta=0.5)
+        for r2 in (1.0, 50.0, 60.0, 1e4):
+            est = simulate_test(point, m=1000, seed=1, threshold_sq=r2)
+            assert est.alpha_hat + est.beta_hat <= 1.0
+        est = simulate_test(ChannelPoint(n=50, theta=0.0), m=1000, seed=1, threshold_sq=50.0)
+        assert est.alpha_hat + est.beta_hat == 1.0
+        assert est.std_err == 0.0
 
     def test_small_m_allowed_with_wide_error(self):
         est = simulate_test(ChannelPoint(n=100, theta=0.3), m=100, seed=1)
@@ -120,8 +171,6 @@ class TestSimulateTest:
         point = ChannelPoint(n=100, theta=0.3)
         with pytest.raises(DomainError):
             simulate_test(point, m=0, seed=1)
-        with pytest.raises(DomainError):
-            simulate_test(point, m=100, seed=1, shards=0)
 
 
 class TestTvdQuadrature:
