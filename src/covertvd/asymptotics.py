@@ -12,10 +12,7 @@ import numpy as np
 
 from .errors import DomainError, FitError
 from .tvd import _tvd_value, tvd_complement
-from .types import ChannelPoint, check_int
-
-GRID_LOG = "log"
-GRID_LINEAR = "linear"
+from .types import ChannelPoint, check_blocklength, check_int, check_tau
 
 TRANSFORM_LOG_NEG_LOG = "log-neg-log-complement"
 TRANSFORM_LOG_LOG = "log-log"
@@ -23,11 +20,11 @@ TRANSFORM_LOG_LOG = "log-log"
 
 @dataclass(frozen=True)
 class ScalingSeries:
-    """TVD evaluated along theta = n^(-tau) on an increasing n grid."""
+    """TVD evaluated along theta = n^(-tau): points holds one (n, V) pair
+    per blocklength of a strictly increasing grid (any spacing)."""
 
     tau: float
     points: tuple[tuple[int, float], ...]
-    grid_kind: str
 
 
 @dataclass(frozen=True)
@@ -54,9 +51,12 @@ def default_n_grid(n_min: int = 1000, n_max: int = 100000, points: int = 12) -> 
     """Log-spaced integer grid, deduplicated and increasing."""
     if points < 1 or n_min < 1 or n_max < n_min:
         raise DomainError(f"invalid grid request ({n_min}, {n_max}, {points})")
+    check_blocklength(n_min)
+    check_blocklength(n_max)
     if points == 1:
         return (n_min,)
-    grid = np.unique(np.round(np.geomspace(n_min, n_max, points)).astype(int))
+    # float endpoints and int() per entry: exact past the int64 range too
+    grid = np.unique(np.round(np.geomspace(float(n_min), float(n_max), points)))
     return tuple(int(v) for v in grid)
 
 
@@ -66,31 +66,16 @@ def _check_grid(n_grid) -> tuple[int, ...]:
         raise DomainError("blocklength grid must be nonempty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("blocklength grid must be strictly increasing")
+    check_blocklength(grid[-1])  # the largest entry; theta = float(n)^(-tau)
     return grid
 
 
-def _spread(values: list[float]) -> float:
-    """(max - min) / max."""
-    top = max(values)
-    return (top - min(values)) / top
-
-
-def _classify_grid(grid: tuple[int, ...]) -> str:
-    if len(grid) < 3:
-        return GRID_LOG
-    pairs = [(float(a), float(b)) for a, b in zip(grid, grid[1:])]
-    diff_spread = _spread([b - a for a, b in pairs])
-    ratio_spread = _spread([b / a for a, b in pairs])
-    return GRID_LINEAR if diff_spread < ratio_spread else GRID_LOG
-
-
-def sweep_tvd(tau: float, n_grid, grid_kind: str | None = None) -> ScalingSeries:
+def sweep_tvd(tau: float, n_grid) -> ScalingSeries:
     """Exact TVD at theta = n^(-tau) for each n on the grid."""
-    if not (math.isfinite(tau) and 0.0 < tau < 1.0):
-        raise DomainError(f"scaling exponent must lie in (0, 1), got {tau!r}")
+    check_tau(tau)
     grid = _check_grid(n_grid)
     pts = tuple((n, _tvd_value(n, float(n) ** (-tau))) for n in grid)
-    return ScalingSeries(tau=tau, points=pts, grid_kind=grid_kind or _classify_grid(grid))
+    return ScalingSeries(tau=tau, points=pts)
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -136,6 +121,8 @@ def fit_rate(series: ScalingSeries) -> RateFit:
     else:
         if not bool(np.all(np.diff(vals) < 0)):
             raise FitError("series must be strictly decreasing for the decay-to-0 fit")
+        if vals[-1] <= 0.0:
+            raise FitError("distance underflows double precision on this grid")
         slope, intercept, r2 = _ols(np.log(ns), np.log(vals))
         transform = TRANSFORM_LOG_LOG
     return RateFit(exponent=slope, prefactor=math.exp(intercept), r_squared=r2, transform=transform)

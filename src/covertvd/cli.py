@@ -73,6 +73,13 @@ def _add_point_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sigma2", type=float, default=1.0, help="noise variance")
 
 
+def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--tau", type=float, required=True)
+    parser.add_argument("--n-min", type=int, default=1000)
+    parser.add_argument("--n-max", type=int, default=100000)
+    parser.add_argument("--points", type=int, default=12)
+
+
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--output", default="-", help="output file path, '-' for stdout")
@@ -150,10 +157,13 @@ def _cmd_throughput(args) -> list[dict]:
     return [_throughput_row(args, rep)]
 
 
+def _sweep_rows(tau: float, grid) -> list[dict]:
+    points = asymptotics.sweep_tvd(tau, grid).points
+    return [{"n": n, "theta": float(n) ** (-tau), "tvd_exact": v} for n, v in points]
+
+
 def _cmd_sweep(args) -> list[dict]:
-    grid = asymptotics.default_n_grid(args.n_min, args.n_max, args.points)
-    series = asymptotics.sweep_tvd(args.tau, grid)
-    return [{"n": n, "theta": float(n) ** (-args.tau), "tvd_exact": v} for n, v in series.points]
+    return _sweep_rows(args.tau, asymptotics.default_n_grid(args.n_min, args.n_max, args.points))
 
 
 def _cmd_mc(args) -> list[dict]:
@@ -179,6 +189,14 @@ def _cmd_fit_rate(args) -> list[dict]:
     }]
 
 
+# bounds figure -> (tau, smallest n, first bound column, series column);
+# both grids end at n = 20000
+_BOUNDS_FIGURES = {
+    "fig8": (0.3, 1000, "hellinger_sq", "series_low_tau"),
+    "fig9": (0.7, 500, "pinsker_upper", "series_high_tau"),
+}
+
+
 def _figure_rows(name: str) -> list[dict]:
     if name in ("fig2", "fig3"):
         delta = 0.1 if name == "fig2" else 0.01
@@ -187,35 +205,20 @@ def _figure_rows(name: str) -> list[dict]:
         deltas = [float(d) for d in np.geomspace(0.01, 0.5, 15)]
         return [_power_row(2000, d, 1.0) for d in deltas]
     if name == "fig7":
-        rows = []
         grid = asymptotics.default_n_grid(500, 100000, 12)
-        for tau in (0.3, 0.4, 0.5, 0.6, 0.7, 0.8):
-            series = asymptotics.sweep_tvd(tau, grid)
-            rows += [{"tau": tau, "n": n, "theta": float(n) ** (-tau), "tvd_exact": v}
-                     for n, v in series.points]
-        return rows
-    if name == "fig8":
-        tau, rows = 0.3, []
-        for n in asymptotics.default_n_grid(1000, 20000, 12):
+        return [{"tau": tau, **row} for tau in (0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
+                for row in _sweep_rows(tau, grid)]
+    if name in _BOUNDS_FIGURES:
+        tau, n_min, bound, series = _BOUNDS_FIGURES[name]
+        rows = []
+        for n in asymptotics.default_n_grid(n_min, 20000, 12):
             point = ChannelPoint.from_tau(n, tau)
             rep = divergences.tvd_bounds(point)
             rows.append({
                 "tau": tau, "n": n, "theta": point.theta,
                 "tvd_exact": tvd.tvd_exact(point).value,
-                "hellinger_sq": rep.hellinger_sq, "sason_upper": rep.sason_upper,
-                "series_low_tau": tvd.tvd_series(point, K=20).value,
-            })
-        return rows
-    if name == "fig9":
-        tau, rows = 0.7, []
-        for n in asymptotics.default_n_grid(500, 20000, 12):
-            point = ChannelPoint.from_tau(n, tau)
-            rep = divergences.tvd_bounds(point)
-            rows.append({
-                "tau": tau, "n": n, "theta": point.theta,
-                "tvd_exact": tvd.tvd_exact(point).value,
-                "pinsker_upper": rep.pinsker_upper, "sason_upper": rep.sason_upper,
-                "series_high_tau": tvd.tvd_series(point, K=20).value,
+                bound: getattr(rep, bound), "sason_upper": rep.sason_upper,
+                series: tvd.tvd_series(point, K=20).value,
             })
         return rows
     raise DomainError(f"unknown figure {name!r}")
@@ -274,10 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_throughput)
 
     p = sub.add_parser("sweep", help="exact TVD along theta = n^(-tau)")
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--n-min", type=int, default=1000)
-    p.add_argument("--n-max", type=int, default=100000)
-    p.add_argument("--points", type=int, default=12)
+    _add_grid_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_sweep)
 
@@ -290,10 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mc)
 
     p = sub.add_parser("fit-rate", help="fit the TVD convergence rate along n^(-tau)")
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--n-min", type=int, default=1000)
-    p.add_argument("--n-max", type=int, default=100000)
-    p.add_argument("--points", type=int, default=12)
+    _add_grid_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_fit_rate)
 

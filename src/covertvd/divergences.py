@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .special import reg_lower_gamma
+from .tvd import _fg
 from .types import ChannelPoint
 
 LOG2E = math.log2(math.e)
@@ -122,8 +123,7 @@ def kl_beta_lower(point: ChannelPoint, beta: float | None = None) -> float:
     if beta is None:
         if point.theta <= 0.0:
             raise DomainError("default beta undefined at theta = 0 (no test to miss)")
-        g = 0.5 * point.n * math.log1p(point.theta) / point.theta
-        beta = reg_lower_gamma(0.5 * point.n, g)
+        beta = reg_lower_gamma(0.5 * point.n, _fg(point.n, point.theta)[1])
     if not (0.0 < beta < 1.0):
         raise DomainError(f"missed-detection probability must lie in (0, 1), got {beta!r}")
     return (1.0 - beta) / math.log(1.0 / beta) * _kl_rev_nats(point.n, point.theta)

@@ -238,18 +238,6 @@ def _gamma_series_upper(cf: ExpansionCoeffs, z: float) -> tuple[float, int]:
     return math.exp(_log_prefactor(a, z)) * total, used
 
 
-def _gamma_series_transition(a: float, z: float, K: int) -> tuple[float, int]:
-    _check_shape(a)
-    _check_order(K)
-    if not (math.isfinite(z) and z > 0.0):
-        raise DomainError(f"argument must be finite and positive, got z={z!r}")
-    if abs(z - a) > a ** (2.0 / 3.0):
-        raise RegimeError(
-            f"transition expansion requires |z - a| <= a^(2/3), got |{z} - {a}| = {abs(z - a)}"
-        )
-    return _transition_sum(a, phi_transition(a, z, K).values), K + 1
-
-
 def _transition_sum(a: float, phi: Sequence[float]) -> float:
     """Transition-regime sum a^(a+1) e^(-a) / Gamma(a+1) * sum_k c_k phi_k
     over the given Phi values (one sequence, or a difference of two)."""
@@ -279,7 +267,15 @@ def gamma_series_upper(a: float, z: float, K: int = 20) -> float:
 
 def gamma_series_transition(a: float, z: float, K: int = 20) -> float:
     """Truncated transition expansion of Gamma(a+1, z) / Gamma(a+1) for z near a."""
-    return _gamma_series_transition(a, z, K)[0]
+    _check_shape(a)
+    _check_order(K)
+    if not (math.isfinite(z) and z > 0.0):
+        raise DomainError(f"argument must be finite and positive, got z={z!r}")
+    if abs(z - a) > a ** (2.0 / 3.0):
+        raise RegimeError(
+            f"transition expansion requires |z - a| <= a^(2/3), got |{z} - {a}| = {abs(z - a)}"
+        )
+    return _transition_sum(a, phi_transition(a, z, K).values)
 
 
 def stirling_gamma_halfn(n: int) -> float:

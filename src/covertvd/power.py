@@ -27,7 +27,10 @@ from dataclasses import dataclass
 
 from .errors import ConsistencyError, DomainError
 from .tvd import _fg, _tvd_value
-from .types import check_int
+from .types import check_blocklength, check_sigma2
+
+#: Relative step or bracket width at which the Newton iteration stops.
+_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -47,7 +50,7 @@ class CovertBudget:
 
     @classmethod
     def from_delta(cls, n: int, delta: float) -> "CovertBudget":
-        n = check_int(n, 1, "blocklength must be a positive integer")
+        n = check_blocklength(n)
         if not (math.isfinite(delta) and 0.0 < delta < 1.0):
             raise DomainError(f"TVD budget must lie in (0, 1), got {delta!r}")
         log_y4 = (4.0 / n) * math.log1p(-delta)            # ln (1-delta)^(4/n)
@@ -89,7 +92,7 @@ def p_nec(n: int, delta: float, sigma2: float = 1.0) -> float:
     Equivalently the unique theta >= 0 with hellinger_sq(theta) = delta,
     scaled by sigma2.
     """
-    _check_sigma2(sigma2)
+    check_sigma2(sigma2)
     budget = CovertBudget.from_delta(n, delta)
     return _snr_from_lambda(budget.lam, budget.y) * sigma2
 
@@ -100,12 +103,12 @@ def p_suf(n: int, delta: float, sigma2: float = 1.0) -> float:
     Equivalently the unique theta with the Hellinger upper bound
     sqrt(1 - (1 - H^2)^2) equal to delta, scaled by sigma2.
     """
-    _check_sigma2(sigma2)
+    check_sigma2(sigma2)
     budget = CovertBudget.from_delta(n, delta)
     return _snr_from_lambda(budget.lam1, budget.y0) * sigma2
 
 
-def p_exact(n: int, delta: float, sigma2: float = 1.0, rel_tol: float = 1e-10) -> PowerInterval:
+def p_exact(n: int, delta: float, sigma2: float = 1.0) -> PowerInterval:
     """Power at which the exact TVD equals delta, by bracketed Newton.
 
     The root is sought on the snr interval [p_suf, p_nec]/sigma2, which
@@ -114,11 +117,11 @@ def p_exact(n: int, delta: float, sigma2: float = 1.0, rel_tol: float = 1e-10) -
     ConsistencyError because it can only mean an implementation bug.
     From a regula-falsi start, each iterate's distance shrinks the
     bracket, and a Newton step that would leave the bracket is replaced by
-    bisection.  Iteration stops once the step or the bracket is below
-    rel_tol relative.  Distances come from tvd._tvd_value, the scalar
-    kernel behind tvd_exact.
+    bisection.  Iteration stops once the step or the bracket is below the
+    fixed relative tolerance _REL_TOL = 1e-10.  Distances come from
+    tvd._tvd_value, the scalar kernel behind tvd_exact.
     """
-    _check_sigma2(sigma2)
+    check_sigma2(sigma2)
     budget = CovertBudget.from_delta(n, delta)
     n = budget.n
     # bracket in snr units (sigma2 = 1), scale the results at the end
@@ -148,7 +151,7 @@ def p_exact(n: int, delta: float, sigma2: float = 1.0, rel_tol: float = 1e-10) -
         if not lo < theta - step < hi:
             step = theta - 0.5 * (lo + hi)
         theta -= step
-        if abs(step) <= rel_tol * theta or hi - lo <= rel_tol * hi:
+        if abs(step) <= _REL_TOL * theta or hi - lo <= _REL_TOL * hi:
             break
     return PowerInterval(p_suf=suf * sigma2, p_exact=theta * sigma2, p_nec=nec * sigma2)
 
@@ -164,8 +167,3 @@ def _tvd_slope(n: int, theta: float, log_norm: float) -> float:
     df = a * (theta - log1p_theta) / (theta * theta)
     dg = a * (theta / (1.0 + theta) - log1p_theta) / (theta * theta)
     return dens_f * df - dens_g * dg
-
-
-def _check_sigma2(sigma2: float) -> None:
-    if not (math.isfinite(sigma2) and sigma2 > 0.0):
-        raise DomainError(f"noise variance must be finite and positive, got {sigma2!r}")

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
 from .errors import DomainError, RegimeError
 from .power import CovertBudget, eta_from_lambda
 from .special import chi2_cdf, q_inv
-from .types import check_int
+from .types import check_blocklength
 
 LOG2E = math.log2(math.e)
 
@@ -67,7 +67,7 @@ def _report(kind: str, eps: float, first: float, second: float, logn: float) -> 
 
 def _check_common(n: int, eps: float) -> int:
     """Validate (n, eps); returns n as a Python int."""
-    n = check_int(n, 1, "blocklength must be a positive integer")
+    n = check_blocklength(n)
     if not (math.isfinite(eps) and 0.0 < eps < 1.0):
         raise DomainError(f"decoding error probability must lie in (0, 1), got {eps!r}")
     return n
@@ -93,23 +93,24 @@ def dispersion(P: float) -> float:
     return 0.5 * LOG2E * LOG2E * P * (P + 2.0) / ((1.0 + P) * (1.0 + P))
 
 
-@lru_cache(maxsize=4)
-def _hermgauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.hermite.hermgauss(nodes)
+@cache
+def _hermgauss() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.hermite.hermgauss(127)
 
 
-def t_mu(P: float, R: float, mu: float, nodes: int = 127) -> float:
+def t_mu(P: float, R: float, mu: float) -> float:
     """Third absolute moment E|log2(e)/(2(1+mu P)) [mu P + 2 sqrt(R) Z - mu P Z^2]|^3
     over standard normal Z, by Gauss-Hermite quadrature.
 
-    127 nodes: the integrand is a C^2 kink of a degree-6 polynomial
-    envelope, measured quadrature error ~5e-8 at covert power scales.
+    The rule is fixed at 127 nodes: the integrand is a C^2 kink of a
+    degree-6 polynomial envelope, measured quadrature error ~5e-8 at
+    covert power scales.
     """
     _check_power(P)
     _check_mu(mu)
     if R < 0.0:
         raise DomainError(f"rate-shell radius must be nonnegative, got {R!r}")
-    x, w = _hermgauss(nodes)
+    x, w = _hermgauss()
     z = math.sqrt(2.0) * x
     c = LOG2E / (2.0 * (1.0 + mu * P))
     vals = np.abs(c * (mu * P + 2.0 * math.sqrt(R) * z - mu * P * z * z)) ** 3
@@ -144,7 +145,7 @@ def truncation_mass(n: int, mu: float) -> float:
     the codeword shell mu^2 n P <= ||x||^2 <= n P (P cancels):
     chi2_cdf(n, n/mu) - chi2_cdf(n, n mu).  Tends to 1 as n grows at fixed
     mu by sphere hardening, and to 0 as mu -> 1 (empty shell)."""
-    n = check_int(n, 1, "blocklength must be a positive integer")
+    n = check_blocklength(n)
     _check_mu(mu)
     return chi2_cdf(n, n / mu) - chi2_cdf(n, n * mu)
 

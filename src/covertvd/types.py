@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -32,6 +33,25 @@ def check_int(value, minimum: int, message: str) -> int:
     return number
 
 
+def check_blocklength(n) -> int:
+    """n as a Python int when it is a positive integer within double range
+    (every formula takes n/2 or 1/n as a float), else DomainError."""
+    n = check_int(n, 1, "blocklength must be a positive integer")
+    if n > sys.float_info.max:  # an exact int-float comparison
+        raise DomainError(f"blocklength exceeds double range, got {n!r}")
+    return n
+
+
+def check_sigma2(sigma2: float) -> None:
+    if not (math.isfinite(sigma2) and sigma2 > 0):
+        raise DomainError(f"noise variance must be finite and positive, got {sigma2!r}")
+
+
+def check_tau(tau: float) -> None:
+    if not (math.isfinite(tau) and 0.0 < tau < 1.0):
+        raise DomainError(f"scaling exponent must lie in (0, 1), got {tau!r}")
+
+
 @dataclass(frozen=True)
 class ChannelPoint:
     """Operating point of the adversary's detection problem.
@@ -51,25 +71,18 @@ class ChannelPoint:
     theta: float = 0.0
 
     def __post_init__(self) -> None:
-        n = check_int(self.n, 1, "blocklength must be a positive integer")
+        n = check_blocklength(self.n)
         object.__setattr__(self, "n", n)  # frozen; stores a Python int, not a numpy integer
-        if not (math.isfinite(self.sigma2) and self.sigma2 > 0):
-            raise DomainError(f"noise variance must be finite and positive, got {self.sigma2!r}")
+        check_sigma2(self.sigma2)
         if not (math.isfinite(self.theta) and self.theta >= 0):
             raise DomainError(f"snr must be finite and nonnegative, got {self.theta!r}")
 
     @classmethod
     def from_tau(cls, n: int, tau: float, sigma2: float = 1.0) -> "ChannelPoint":
         """Point on the power scaling law theta = n**(-tau)."""
-        if not (math.isfinite(tau) and 0.0 < tau < 1.0):
-            raise DomainError(f"scaling exponent must lie in (0, 1), got {tau!r}")
-        n = check_int(n, 1, "blocklength must be a positive integer")
+        check_tau(tau)
+        n = check_blocklength(n)
         return cls(n=n, sigma2=sigma2, theta=float(n) ** (-tau))
-
-    @property
-    def signal_power(self) -> float:
-        """Per-symbol signal power p_n = theta * sigma2."""
-        return self.theta * self.sigma2
 
     @property
     def sigma1_sq(self) -> float:

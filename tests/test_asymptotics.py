@@ -5,8 +5,6 @@ import math
 import pytest
 
 from covertvd.asymptotics import (
-    GRID_LINEAR,
-    GRID_LOG,
     RateFit,
     ScalingSeries,
     TRANSFORM_LOG_LOG,
@@ -40,10 +38,6 @@ class TestSweep:
         vals = [v for _, v in series.points]
         assert max(vals) - min(vals) <= 0.05
 
-    def test_grid_classification(self):
-        assert sweep_tvd(0.5, (100, 1000, 10000)).grid_kind == GRID_LOG
-        assert sweep_tvd(0.5, (100, 200, 300, 400)).grid_kind == GRID_LINEAR
-
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             sweep_tvd(0.5, ())
@@ -54,6 +48,12 @@ class TestSweep:
         with pytest.raises(DomainError):
             sweep_tvd(0.5, (True, 2, 3))
 
+    def test_grid_beyond_double_range(self):
+        with pytest.raises(DomainError, match="double range"):
+            sweep_tvd(0.5, (100, 10**400))
+        with pytest.raises(DomainError, match="double range"):
+            default_n_grid(1000, 10**400, 3)
+
 
 class TestFitRate:
     def test_recovers_synthetic_saturation_law(self):
@@ -61,7 +61,7 @@ class TestFitRate:
         # (grid capped where 1 - v stays well-representable in doubles)
         ns = default_n_grid(500, 10000, 12)
         pts = tuple((n, 1.0 - math.exp(-0.25 * n**0.4)) for n in ns)
-        fit = fit_rate(ScalingSeries(tau=0.3, points=pts, grid_kind=GRID_LOG))
+        fit = fit_rate(ScalingSeries(tau=0.3, points=pts))
         assert fit.transform == TRANSFORM_LOG_NEG_LOG
         assert fit.exponent == pytest.approx(0.4, abs=1e-9)
         assert fit.prefactor == pytest.approx(0.25, rel=1e-8)
@@ -70,7 +70,7 @@ class TestFitRate:
     def test_recovers_synthetic_decay_law(self):
         ns = default_n_grid(1000, 100000, 12)
         pts = tuple((n, 0.7 * n**-0.3) for n in ns)
-        fit = fit_rate(ScalingSeries(tau=0.7, points=pts, grid_kind=GRID_LOG))
+        fit = fit_rate(ScalingSeries(tau=0.7, points=pts))
         assert fit.transform == TRANSFORM_LOG_LOG
         assert fit.exponent == pytest.approx(-0.3, abs=1e-9)
         assert fit.prefactor == pytest.approx(0.7, rel=1e-9)
@@ -102,13 +102,21 @@ class TestFitRate:
     def test_too_few_points(self):
         pts = tuple((n, 0.1 * n**-0.2) for n in (10, 20, 30, 40, 50))
         with pytest.raises(FitError):
-            fit_rate(ScalingSeries(tau=0.7, points=pts, grid_kind=GRID_LOG))
+            fit_rate(ScalingSeries(tau=0.7, points=pts))
 
     def test_non_monotone_rejected(self):
         ns = (100, 200, 300, 400, 500, 600)
         vals = (0.5, 0.4, 0.45, 0.3, 0.2, 0.1)
         with pytest.raises(FitError):
-            fit_rate(ScalingSeries(tau=0.7, points=tuple(zip(ns, vals)), grid_kind=GRID_LINEAR))
+            fit_rate(ScalingSeries(tau=0.7, points=tuple(zip(ns, vals))))
+
+    def test_zero_distance_rejected(self):
+        # ln 0 would make the fit NaN, and a NaN fit must not pass as
+        # conclusive
+        ns = (100, 200, 300, 400, 500, 600)
+        vals = (0.5, 0.4, 0.3, 0.2, 0.1, 0.0)
+        with pytest.raises(FitError, match="underflows"):
+            fit_rate(ScalingSeries(tau=0.7, points=tuple(zip(ns, vals))))
 
     def test_stationary_exponent_rejected(self):
         series = sweep_tvd(0.5, default_n_grid(1000, 10000, 8))

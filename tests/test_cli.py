@@ -1,6 +1,7 @@
 """Command-line interface: schemas, exit codes, determinism, roundtrips."""
 
 import contextlib
+import csv
 import io
 import json
 import tempfile
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covertvd.asymptotics import default_n_grid
 from covertvd.cli import EXIT_ACCURACY, EXIT_DOMAIN, EXIT_OK, FIGURES, main
 from covertvd.errors import AccuracyError
 from covertvd.tvd import tvd_exact
@@ -31,6 +33,24 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "tvd", "--n", "0", "--theta", "1")
         assert code == EXIT_DOMAIN
         assert "blocklength" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("tvd", "--n", str(10**400), "--theta", "1"),
+        ("power", "--n", str(10**400), "--delta", "0.1"),
+        ("sweep", "--tau", "0.5", "--n-max", str(10**400), "--points", "3"),
+    ])
+    def test_blocklength_beyond_double_range(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_DOMAIN
+        assert "double range" in err
+
+    @pytest.mark.parametrize("command", ("sweep", "fit-rate"))
+    def test_grid_past_int64_range(self, capsys, command):
+        # within double range the grid is built from floats, so no int64
+        # cast overflows; fit-rate may still reject the series (exit 3)
+        code, _, err = run_cli(capsys, command, "--tau", "0.7", "--n-max", str(10**308),
+                               "--points", "6")
+        assert code in (EXIT_OK, EXIT_DOMAIN), err
 
     def test_budget_domain_violation(self, capsys):
         code, _, _ = run_cli(capsys, "power", "--n", "100", "--delta", "1.5")
@@ -241,6 +261,26 @@ class TestFigures:
             "tau,n,theta,tvd_exact,hellinger_sq,sason_upper,series_low_tau"
         assert (tmp_path / "fig9.csv").read_text().splitlines()[0] == \
             "tau,n,theta,tvd_exact,pinsker_upper,sason_upper,series_high_tau"
+
+
+    def test_fig7_blocks_are_sweep_rows(self, tmp_path, capsys):
+        run_cli(capsys, "figures", "--outdir", str(tmp_path))
+        fig7 = list(csv.DictReader(io.StringIO((tmp_path / "fig7.csv").read_text())))
+        taus = sorted({row["tau"] for row in fig7}, key=float)
+        assert [float(tau) for tau in taus] == [0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
+        for tau in taus:
+            block = [{k: v for k, v in row.items() if k != "tau"}
+                     for row in fig7 if row["tau"] == tau]
+            _, out, _ = run_cli(capsys, "sweep", "--tau", tau, "--n-min", "500",
+                                "--n-max", "100000", "--points", "12")
+            assert block == list(csv.DictReader(io.StringIO(out)))
+
+    @pytest.mark.parametrize("name, tau, n_min", (("fig8", 0.3, 1000), ("fig9", 0.7, 500)))
+    def test_bounds_figure_grid(self, tmp_path, capsys, name, tau, n_min):
+        run_cli(capsys, "figures", "--outdir", str(tmp_path), "--format", "json")
+        rows = json.loads((tmp_path / f"{name}.json").read_text())
+        assert {row["tau"] for row in rows} == {tau}
+        assert [row["n"] for row in rows] == list(default_n_grid(n_min, 20000, 12))
 
 
 class TestOutputFile:

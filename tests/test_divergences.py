@@ -128,9 +128,12 @@ class TestLargeSnr:
 
 class TestKlBetaLower:
     def test_default_beta_is_missed_detection(self):
-        point = ChannelPoint(n=500, theta=0.1)
-        beta = reg_lower_gamma(0.5 * point.n, fg(point).g)
-        assert kl_beta_lower(point) == pytest.approx(kl_beta_lower(point, beta), rel=1e-14)
+        # the default beta takes g from the same formula as fg, so the two
+        # agree to the bit
+        for n, theta in ((500, 0.1), (7, 0.37), (1000, 3.0), (10**6, 0.0025)):
+            point = ChannelPoint(n=n, theta=theta)
+            beta = reg_lower_gamma(0.5 * point.n, fg(point).g)
+            assert kl_beta_lower(point) == kl_beta_lower(point, beta)
 
     def test_tracks_exact_distance_scale(self):
         # a rate diagnostic, not a certified pointwise bound (at moderate

@@ -52,6 +52,12 @@ class TestCovertBudget:
         with pytest.raises(DomainError):
             CovertBudget.from_delta(100, delta)
 
+    def test_blocklength_beyond_double_range(self):
+        with pytest.raises(DomainError, match="double range"):
+            CovertBudget.from_delta(10**400, 0.1)
+        with pytest.raises(DomainError, match="double range"):
+            p_exact(10**400, 0.1)
+
 
 class TestClosedForms:
     def test_vanishing_budget(self):

@@ -81,6 +81,12 @@ class TestTruncationMass:
         with pytest.raises(DomainError):
             truncation_mass(0, 0.5)
 
+    def test_blocklength_beyond_double_range(self):
+        with pytest.raises(DomainError, match="double range"):
+            truncation_mass(10**400, 0.5)
+        with pytest.raises(DomainError, match="double range"):
+            converse_na(10**400, 0.1, 0.01)
+
 
 class TestMomentMachinery:
     def test_third_moment_vanishes_at_zero_power(self):

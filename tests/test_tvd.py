@@ -23,6 +23,7 @@ from covertvd.types import (
     METHOD_SERIES_HIGH,
     METHOD_SERIES_LOW,
     ChannelPoint,
+    check_blocklength,
 )
 
 
@@ -59,6 +60,17 @@ class TestFg:
         assert type(ChannelPoint.from_tau(np.int32(1000), 0.5).n) is int
         with pytest.raises(DomainError):
             ChannelPoint(n=np.float64(1000.0), theta=1.0)
+
+    def test_blocklength_beyond_double_range_rejected(self):
+        # every formula takes n/2 or 1/n as a float
+        assert check_blocklength(2**1023) == 2**1023
+        for n in (2**1024, 10**400):
+            with pytest.raises(DomainError, match="double range"):
+                check_blocklength(n)
+            with pytest.raises(DomainError, match="double range"):
+                ChannelPoint(n=n, theta=1.0)
+            with pytest.raises(DomainError, match="double range"):
+                ChannelPoint.from_tau(n, 0.5)
 
 
 class TestTvdExact:
