@@ -23,6 +23,7 @@ where lambda rounds to 1 but y stays positive.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, DomainError
@@ -31,6 +32,12 @@ from .types import check_blocklength, check_sigma2
 
 #: Relative step or bracket width at which the Newton iteration stops.
 _REL_TOL = 1e-10
+
+#: Past this a*ln(a) (a = n/2, n ~ 4e13) the terms of the Gamma(a) log density,
+#: each ~a*ln(a), round to more than 0.1 in the exponent: the Newton slope has
+#: no reliable digit, its exp can overflow, and a wrong slope stops the
+#: iteration early.  p_exact bisects there instead.
+_SLOPE_MAX_A_LOG_A = 0.1 / sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -158,8 +165,10 @@ def p_exact(n: int, delta: float, sigma2: float = 1.0) -> PowerInterval:
 
 def _tvd_slope(n: int, theta: float, log_norm: float) -> float:
     """dV/dtheta = p_a(f) f' - p_a(g) g' at a = n/2, p_a the Gamma(a) density
-    with log_norm = lgamma(a)."""
+    with log_norm = lgamma(a); 0.0 (no Newton step) past _SLOPE_MAX_A_LOG_A."""
     a = 0.5 * n
+    if a * math.log(a) > _SLOPE_MAX_A_LOG_A:
+        return 0.0
     f, g = _fg(n, theta)
     log1p_theta = math.log1p(theta)
     dens_f = math.exp((a - 1.0) * math.log(f) - f - log_norm)

@@ -8,6 +8,10 @@ log-stable integrand, erfc from quadrature of the Gaussian tail.
 import math
 
 import pytest
+
+# before scipy.integrate (which imports scipy.special), so the suite runs on
+# the same scipy load as `import covertvd` on its own
+import covertvd  # noqa: F401,I001
 from scipy.integrate import quad
 
 

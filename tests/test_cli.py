@@ -4,11 +4,13 @@ import contextlib
 import csv
 import io
 import json
+import math
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erfinv
 
 from covertvd.asymptotics import default_n_grid
 from covertvd.cli import EXIT_ACCURACY, EXIT_DOMAIN, EXIT_OK, FIGURES, main
@@ -93,6 +95,21 @@ class TestBudgetNearOne:
         assert code == EXIT_OK
         suf, nec = json.loads(out)
         assert suf["bits"] <= nec["bits"]
+
+
+class TestHugeBlocklengthPower:
+    # the Gamma(n/2) log density behind the Newton slope has no reliable
+    # digit here (its exp can overflow, and a wrong slope stops the iteration
+    # early); p_exact must still land on V ~ erf(sqrt(n) theta / 4) = delta
+    @pytest.mark.parametrize("exponent", [18, 20, 21, 22, 26])
+    def test_power(self, capsys, exponent):
+        n, delta = 10**exponent, 0.1
+        code, out, err = run_cli(capsys, "power", "--n", str(n), "--delta", str(delta),
+                                 "--format", "json")
+        assert code == EXIT_OK, err
+        row = json.loads(out)[0]
+        assert row["p_suf"] <= row["p_exact"] <= row["p_nec"]
+        assert row["p_exact"] == pytest.approx(4.0 * erfinv(delta) / math.sqrt(n), rel=1e-2)
 
 
 # The documented domain: n <= 1e6, tau in (0, 1), delta in [1e-6, 1).  Sample

@@ -1,6 +1,10 @@
 """Baseline special functions against quadrature oracles and identities."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ import scipy.special as sc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import covertvd
 from covertvd import special
 from covertvd.errors import AccuracyError, DomainError
 from covertvd.special import (
@@ -194,3 +199,74 @@ class TestQInv:
     def test_domain_errors(self, p):
         with pytest.raises(DomainError):
             q_inv(p)
+
+
+def run_python(code: str) -> None:
+    """Run code in a fresh interpreter that imports covertvd from this tree."""
+    src = os.path.dirname(os.path.dirname(covertvd.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert out.returncode == 0, out.stderr
+
+
+class TestIsolatedLoad:
+    """import covertvd binds cython_special without running scipy.special's
+    package init, and leaves scipy.special importable as usual."""
+
+    def test_package_init_not_run(self):
+        run_python("""
+            import sys
+            import covertvd
+            from covertvd.special import reg_lower_gamma
+            for name in ("scipy.special", "scipy._lib.array_api_compat", "numpy.f2py"):
+                assert name not in sys.modules, name
+            assert abs(reg_lower_gamma(2.0, 1.0) - (1.0 - 2.0 / 2.718281828459045)) < 1e-15
+        """)
+
+    def test_scipy_special_loads_afterwards(self):
+        run_python("""
+            import covertvd
+            from covertvd import special
+            import scipy.special, scipy.stats, scipy.integrate
+            from scipy.special import cython_special
+            assert scipy.special.__file__.endswith("__init__.py")
+            assert cython_special.gammainc is special.gammainc
+            for a, z in ((0.5, 0.1), (2.0, 1.0), (50.0, 55.0), (5e5, 5e5 + 700.0)):
+                assert scipy.special.gammainc(a, z) == special.reg_lower_gamma(a, z)
+                assert scipy.special.gammaincc(a, z) == special.reg_upper_gamma(a, z)
+            assert scipy.special.ndtri(0.1) == -special.q_inv(0.1)
+            assert abs(scipy.integrate.quad(lambda t: t, 0.0, 1.0)[0] - 0.5) < 1e-15
+            assert scipy.stats.norm.sf(0.0) == 0.5
+        """)
+
+    def test_binds_loaded_scipy_special(self):
+        run_python("""
+            import scipy.special
+            package = scipy.special
+            import covertvd
+            from covertvd import special
+            from scipy.special import cython_special
+            assert scipy.special is package
+            assert special.gammainc is cython_special.gammainc
+        """)
+
+    def test_failed_isolated_import_falls_back(self):
+        run_python("""
+            import sys
+
+            class NeedsPackageInit:
+                # refuses a sibling extension while scipy.special is the bare stand-in
+                def find_spec(self, name, path=None, target=None):
+                    parent = sys.modules.get("scipy.special")
+                    if name == "scipy.special._ufuncs" and not hasattr(parent, "__file__"):
+                        raise ImportError("needs scipy.special's package init")
+                    return None
+
+            sys.meta_path.insert(0, NeedsPackageInit())
+            import covertvd
+            from covertvd import special
+            import scipy.special
+            assert hasattr(sys.modules["scipy.special"], "__file__")
+            assert scipy.special.gammainc(2.0, 1.0) == special.reg_lower_gamma(2.0, 1.0)
+        """)
