@@ -23,7 +23,10 @@ The three series target different argument regimes of the shape a:
 * transition (|z - a| <= a^(2/3)): erfc-based expansion around z ~ a.
 
 All prefactors e^(-z) z^(a+1) / Gamma(a+1) are evaluated as exp(log-sum)
-so blocklengths n >= 1e3 neither overflow nor underflow.
+so blocklengths n >= 1e3 neither overflow nor underflow.  The log-sum's
+terms grow like a ln a; where their rounding alone overflows the exp
+(n ~ 1e17 and beyond), the prefactor has no digit left and AccuracyError
+is raised instead of a value.
 
 Each quantity is computed once, by its recurrence.  The identities that
 cross-check the recurrences (c*_k = (-1)^k k! c_k, and the closed-form
@@ -37,7 +40,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .errors import DomainError, OrderError, RegimeError
+from .errors import AccuracyError, DomainError, OrderError, RegimeError
 from .special import erfc
 from .types import check_int
 
@@ -174,9 +177,19 @@ def phi_transition(a: float, z: float, K: int) -> PhiSequence:
     return PhiSequence(values=tuple(values), a=a, z=z)
 
 
-def _log_prefactor(a: float, z: float) -> float:
-    """ln of e^(-z) z^(a+1) / Gamma(a+1)."""
-    return -z + (a + 1.0) * math.log(z) - math.lgamma(a + 1.0)
+def _prefactor(a: float, z: float) -> float:
+    """e^(-z) z^(a+1) / Gamma(a+1), as the exp of its log.
+
+    The true value is below sqrt(a + 1) < 1e155, so an exp that overflows
+    means rounding alone put the log off by hundreds: AccuracyError.
+    """
+    log_pre = -z + (a + 1.0) * math.log(z) - math.lgamma(a + 1.0)
+    try:
+        return math.exp(log_pre)
+    except OverflowError:
+        raise AccuracyError(
+            f"series prefactor e^(-z) z^(a+1)/Gamma(a+1) has no reliable digit at a={a}, z={z}"
+        ) from None
 
 
 def _sum_optimal(terms: list[float]) -> tuple[float, int]:
@@ -205,7 +218,15 @@ def _sum_optimal(terms: list[float]) -> tuple[float, int]:
 
 def _upper_terms(cf: ExpansionCoeffs, z: float) -> list[float]:
     d = z - cf.a
-    return [cs / d ** (k + 1) for k, cs in enumerate(cf.c_star)]
+    terms = []
+    for k, cs in enumerate(cf.c_star):
+        try:
+            terms.append(cs / d ** (k + 1))
+        except OverflowError:
+            # d^(k+1) passed 1.8e308; at n <= 1e6 such a term is below
+            # 1e-96 of the first one, 1/d, so it counts as 0.0
+            terms.append(0.0)
+    return terms
 
 
 def _lower_terms(cf: ExpansionCoeffs, z: float) -> list[float]:
@@ -224,7 +245,7 @@ def _gamma_series_lower(cf: ExpansionCoeffs, z: float) -> tuple[float, int]:
     if z >= a:
         raise RegimeError(f"lower expansion requires z < a, got z={z}, a={a}")
     total, used = _sum_optimal(_lower_terms(cf, z))
-    return math.exp(_log_prefactor(a, z)) * total, used
+    return _prefactor(a, z) * total, used
 
 
 def _gamma_series_upper(cf: ExpansionCoeffs, z: float) -> tuple[float, int]:
@@ -235,16 +256,14 @@ def _gamma_series_upper(cf: ExpansionCoeffs, z: float) -> tuple[float, int]:
     if z <= a:
         raise RegimeError(f"upper expansion requires z > a, got z={z}, a={a}")
     total, used = _sum_optimal(_upper_terms(cf, z))
-    return math.exp(_log_prefactor(a, z)) * total, used
+    return _prefactor(a, z) * total, used
 
 
 def _transition_sum(a: float, phi: Sequence[float]) -> float:
     """Transition-regime sum a^(a+1) e^(-a) / Gamma(a+1) * sum_k c_k phi_k
     over the given Phi values (one sequence, or a difference of two)."""
     c = _transition_coeffs(a, len(phi) - 1)
-    total = math.fsum(ck * pk for ck, pk in zip(c, phi))
-    log_pre = (a + 1.0) * math.log(a) - a - math.lgamma(a + 1.0)
-    return math.exp(log_pre) * total
+    return _prefactor(a, a) * math.fsum(ck * pk for ck, pk in zip(c, phi))
 
 
 def gamma_series_lower(a: float, z: float, K: int = 20) -> float:

@@ -116,7 +116,8 @@ def tvd_quadrature(point: ChannelPoint) -> TvdEvaluation:
     difference integral after the radial substitution, evaluated on a path
     fully independent of the incomplete-gamma baseline.  A quadrature
     warning is tolerated as long as the error estimate meets the target;
-    otherwise it is reported in the AccuracyError.
+    otherwise it is reported in the AccuracyError.  So is a density whose
+    exp overflows at huge n.
     """
     from scipy.integrate import quad  # slow to import and needed only here
 
@@ -132,7 +133,14 @@ def tvd_quadrature(point: ChannelPoint) -> TvdEvaluation:
         return math.exp((half - 1.0) * math.log(t) - t - lg)
 
     # full_output=1 appends a warning message to the 3-tuple when quad warns
-    out = quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=300, full_output=1)
+    try:
+        out = quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=300, full_output=1)
+    except OverflowError:
+        # the density itself stays below 1e162; only its log's rounding
+        # (terms ~ (n/2) ln(n/2), n ~ 1e18 and beyond) overflows the exp
+        raise AccuracyError(
+            f"radial density has no reliable digit at n={point.n}, theta={point.theta}"
+        ) from None
     value, abserr, info = out[:3]
     if abserr > _QUAD_ABS_TARGET:
         warning = f": {out[3].splitlines()[0]}" if len(out) > 3 else ""

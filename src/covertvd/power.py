@@ -7,10 +7,12 @@ violates the budget), p_suf inverts the sharper Hellinger upper bound
 exact TVD V(theta) = delta by a safeguarded Newton iteration bracketed
 between the two.  The Newton step uses the closed-form slope
 
-    dV/dtheta = p_a(f) f'(theta) - p_a(g) g'(theta),   a = n/2,
+    dV/dtheta = p_a(g) g / (1 + theta),   a = n/2,
 
-with p_a the Gamma(a) density; it only steers the search, the bracket
-guarantees the result.
+with p_a the Gamma(a) density.  It is p_a(f) f' - p_a(g) g' with one
+density: at the likelihood-ratio threshold the likelihoods are equal, so
+p_a(f) = p_a(g) / (1 + theta), and f = (1 + theta) g gives f' = g + (1 + theta) g'.
+The slope only steers the search; the bracket guarantees the result.
 
 With lambda = sqrt(1 - 4y) the closed-form snr is
 (1 - 2y + sqrt(1 - 4y))/(2y) - 1 = 2 lambda / (1 - lambda).  The code
@@ -152,7 +154,6 @@ def p_exact(n: int, delta: float, sigma2: float = 1.0) -> PowerInterval:
             lo = theta
         else:
             hi = theta
-        # theta - ln(1 + theta) rounds to 0 below theta ~ 1e-16, and so can the slope
         slope = _tvd_slope(n, theta, log_norm)
         step = resid / slope if slope > 0.0 else math.inf
         if not lo < theta - step < hi:
@@ -164,15 +165,10 @@ def p_exact(n: int, delta: float, sigma2: float = 1.0) -> PowerInterval:
 
 
 def _tvd_slope(n: int, theta: float, log_norm: float) -> float:
-    """dV/dtheta = p_a(f) f' - p_a(g) g' at a = n/2, p_a the Gamma(a) density
+    """dV/dtheta = p_a(g) g / (1 + theta) at a = n/2, p_a the Gamma(a) density
     with log_norm = lgamma(a); 0.0 (no Newton step) past _SLOPE_MAX_A_LOG_A."""
     a = 0.5 * n
     if a * math.log(a) > _SLOPE_MAX_A_LOG_A:
         return 0.0
-    f, g = _fg(n, theta)
-    log1p_theta = math.log1p(theta)
-    dens_f = math.exp((a - 1.0) * math.log(f) - f - log_norm)
-    dens_g = math.exp((a - 1.0) * math.log(g) - g - log_norm)
-    df = a * (theta - log1p_theta) / (theta * theta)
-    dg = a * (theta / (1.0 + theta) - log1p_theta) / (theta * theta)
-    return dens_f * df - dens_g * dg
+    g = _fg(n, theta)[1]
+    return math.exp(a * math.log(g) - g - log_norm) / (1.0 + theta)

@@ -29,12 +29,10 @@ scipy._lib._ccallback and the six compiled scipy.special extensions
 (cython_special, _ufuncs, _ufuncs_cxx, _gufuncs, _special_ufuncs and
 _ellip_harm_2), and takes about 0.25-0.3 s in a fresh interpreter instead
 of about 0.6 s (verified on scipy 1.17.1).  A later import scipy.special
-runs the full package init as usual and reuses those extensions.  Two
-caveats: another thread that imports scipy.special for the first time
+runs the full package init as usual and reuses those extensions.  One
+caveat: another thread that imports scipy.special for the first time
 while covertvd itself is being imported could see the bare stand-in
-package; and extensions the package init does not import itself, such as
-cython_special, are then reached by import (from scipy.special import
-cython_special), not as attributes of scipy.special.
+package.
 """
 
 from __future__ import annotations
@@ -53,9 +51,12 @@ def _cython_special() -> types.ModuleType:
     if that has not run yet.
 
     A bare package module stands in for scipy.special while the extension
-    loads, so only its compiled siblings are imported, and is removed again
-    afterwards.  If scipy.special is already loaded, or the bare import
-    fails, it is the plain import.
+    loads, so only its compiled siblings are imported.  Afterwards it is
+    removed from sys.modules together with the submodules it gathered:
+    the bound kernels keep those alive, and a later import scipy.special
+    (or scipy.special.cython_special) imports them again and binds them as
+    attributes of the real package.  If scipy.special is already loaded,
+    or the bare import fails, it is the plain import.
     """
     if "scipy.special" not in sys.modules:
         import scipy
@@ -70,6 +71,8 @@ def _cython_special() -> types.ModuleType:
             pass
         finally:
             if sys.modules.get("scipy.special") is bare:
+                for name in [m for m in sys.modules if m.startswith("scipy.special.")]:
+                    del sys.modules[name]
                 del sys.modules["scipy.special"]
     from scipy.special import cython_special
     return cython_special

@@ -8,7 +8,7 @@ import math
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erfinv
 
@@ -112,6 +112,35 @@ class TestHugeBlocklengthPower:
         assert row["p_exact"] == pytest.approx(4.0 * erfinv(delta) / math.sqrt(n), rel=1e-2)
 
 
+class TestSeriesTermOverflow:
+    # d^(k+1) in the upper-tail series terms passes the double range at K = 60
+    @pytest.mark.parametrize("argv, point", [
+        (("--n", "602559", "--tau", "0.001"), ChannelPoint.from_tau(602559, 0.001)),
+        (("--n", "1000000", "--theta", "1"), ChannelPoint(n=10**6, theta=1.0)),
+        (("--n", "100000", "--theta", "100"), ChannelPoint(n=10**5, theta=100.0)),
+    ])
+    def test_series_exits_ok(self, capsys, argv, point):
+        code, out, err = run_cli(capsys, "tvd", *argv, "--method", "series", "--k", "60",
+                                 "--format", "json")
+        assert code == EXIT_OK, err
+        assert abs(json.loads(out)[0]["value"] - tvd_exact(point).value) <= 1e-12
+
+
+class TestHugeBlocklengthDensity:
+    # the log of the Gamma(n/2) density (quadrature) or of the series
+    # prefactor has no reliable digit here, and its exp overflows
+    @pytest.mark.parametrize("argv", [
+        ("--n", str(10**18), "--tau", "0.5", "--method", "quadrature"),
+        ("--n", str(10**20), "--tau", "0.3", "--method", "quadrature"),
+        ("--n", str(10**18), "--tau", "0.45", "--method", "series"),
+        ("--n", "398107170553497250", "--tau", "0.45", "--method", "series", "--k", "0"),
+    ])
+    def test_tvd_exits_accuracy(self, capsys, argv):
+        code, _, err = run_cli(capsys, "tvd", *argv)
+        assert code == EXIT_ACCURACY, err
+        assert "no reliable digit" in err
+
+
 # The documented domain: n <= 1e6, tau in (0, 1), delta in [1e-6, 1).  Sample
 # counts stay small so no case allocates much or runs long.
 N = st.integers(1, 10**6)
@@ -163,6 +192,7 @@ class TestLargeSnrBounds:
 
 class TestContract:
     @given(argv=COMMANDS)
+    @example(argv=["tvd", "--n", "602559", "--tau", "0.001", "--method", "series", "--k", "60"])
     @settings(max_examples=200, deadline=None)
     def test_every_subcommand_exits_cleanly(self, argv):
         # any escaping exception fails the test; the exit code must be a

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from covertvd.errors import DomainError, OrderError, RegimeError
+from covertvd.errors import AccuracyError, DomainError, OrderError, RegimeError
 from covertvd.expansions import (
     _lower_terms,
     _sum_optimal,
@@ -251,6 +251,15 @@ class TestGammaSeriesUpper:
         assert all(b >= s for s, b in zip(stops, stops[1:]))
         assert stops[-1] > stops[0]
 
+    def test_terms_past_double_range_count_as_zero(self):
+        # f at n = 602559, tau = 0.001: d^(k+1) overflows at k = 60 only
+        a, z = 301278.5, 416436.827728649
+        cf = coeffs_c(a, 60)
+        terms = _upper_terms(cf, z)
+        assert len(terms) == 61
+        assert terms[:60] == [cs / (z - a) ** (k + 1) for k, cs in enumerate(cf.c_star[:60])]
+        assert terms[60] == 0.0
+
     def test_regime_error(self):
         with pytest.raises(RegimeError):
             gamma_series_upper(499.0, 499.0, 10)
@@ -283,6 +292,19 @@ class TestGammaSeriesTransition:
         a = 499.0
         with pytest.raises(RegimeError):
             gamma_series_transition(a, a + 2.0 * a ** (2.0 / 3.0), 10)
+
+
+class TestHugeShapePrefactor:
+    # the log prefactor's terms are ~a ln a, and their rounding alone
+    # overflows its exp at these shapes: no value, AccuracyError
+    @pytest.mark.parametrize("series, a, z", [
+        (gamma_series_lower, 3.3375630981492705e18, 3.337563079880272e18),
+        (gamma_series_upper, 5e17, 5e17 + 1e10),
+        (gamma_series_transition, 4.909384718029592e17, 4.909384718029592e17),
+    ])
+    def test_accuracy_error(self, series, a, z):
+        with pytest.raises(AccuracyError, match="no reliable digit"):
+            series(a, z)
 
 
 class TestStirling:

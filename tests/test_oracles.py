@@ -201,6 +201,12 @@ class TestTvdQuadrature:
         assert ev.value == 0.125
         assert ev.terms_used == 21
 
+    @pytest.mark.parametrize("n, tau", ((10**18, 0.5), (10**20, 0.3)))
+    def test_density_overflow_is_accuracy_error(self, n, tau):
+        # rounding of the log density's ~(n/2) ln(n/2) terms overflows its exp
+        with pytest.raises(AccuracyError, match="no reliable digit"):
+            tvd_quadrature(ChannelPoint.from_tau(n, tau))
+
     def test_quad_warning_reported_in_accuracy_error(self, monkeypatch):
         message = "The maximum number of subdivisions (300) has been achieved.\n  more advice"
         monkeypatch.setattr(scipy.integrate, "quad",

@@ -7,7 +7,7 @@ import pytest
 import covertvd.power
 from covertvd.divergences import hellinger_sq, tvd_bounds
 from covertvd.errors import ConsistencyError, DomainError
-from covertvd.power import CovertBudget, p_exact, p_nec, p_suf
+from covertvd.power import CovertBudget, _tvd_slope, p_exact, p_nec, p_suf
 from covertvd.tvd import _tvd_value, tvd_exact
 from covertvd.types import ChannelPoint
 
@@ -168,3 +168,32 @@ class TestPExact:
         interval = p_exact(n, 0.1, sigma2=2.5)
         assert interval.p_suf == p_suf(n, 0.1, sigma2=2.5)
         assert interval.p_nec == p_nec(n, 0.1, sigma2=2.5)
+
+
+class TestTvdSlope:
+    """The Newton slope p_a(g) g / (1 + theta), a = n/2, against 60-digit
+    mpmath at the same double-precision snr, and against a central
+    difference of the distance kernel."""
+
+    @staticmethod
+    def reference(n, theta):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(60):
+            theta = mp.mpf(theta)
+            a = mp.mpf(n) / 2
+            g = a * mp.log1p(theta) / theta
+            return float(mp.exp(a * mp.log(g) - g - mp.loggamma(a)) / (1 + theta))
+
+    @pytest.mark.parametrize("n", (1, 2, 10, 10**3, 10**6))
+    @pytest.mark.parametrize("theta", (1e-20, 1e-16, 1e-12, 1e-8, 1e-4, 1e-2))
+    def test_against_mpmath(self, n, theta):
+        ref = self.reference(n, theta)
+        slope = _tvd_slope(n, theta, math.lgamma(0.5 * n))
+        assert abs(slope - ref) <= (1e-12 if n <= 10**3 else 1e-8) * ref
+
+    @pytest.mark.parametrize("n, theta", ((1, 1e-4), (2, 1.0), (10, 0.3), (10**3, 0.05),
+                                          (10**6, 2e-3)))
+    def test_central_difference_of_kernel(self, n, theta):
+        h = 1e-4 * theta
+        diff = (_tvd_value(n, theta + h) - _tvd_value(n, theta - h)) / (2.0 * h)
+        assert _tvd_slope(n, theta, math.lgamma(0.5 * n)) == pytest.approx(diff, rel=1e-6)

@@ -232,6 +232,13 @@ class TestIsolatedLoad:
             from scipy.special import cython_special
             assert scipy.special.__file__.endswith("__init__.py")
             assert cython_special.gammainc is special.gammainc
+            # the attribute path binds too, for every extension the stand-in gathered
+            import scipy.special.cython_special, scipy.special._gufuncs
+            import scipy.special._special_ufuncs, scipy.special._ellip_harm_2
+            import scipy.special._ufuncs_cxx
+            assert scipy.special.cython_special.gammainc is special.gammainc
+            for name in ("_ufuncs", "_gufuncs", "_special_ufuncs", "_ellip_harm_2", "_ufuncs_cxx"):
+                assert getattr(scipy.special, name).__name__ == "scipy.special." + name
             for a, z in ((0.5, 0.1), (2.0, 1.0), (50.0, 55.0), (5e5, 5e5 + 700.0)):
                 assert scipy.special.gammainc(a, z) == special.reg_lower_gamma(a, z)
                 assert scipy.special.gammaincc(a, z) == special.reg_upper_gamma(a, z)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import covertvd.tvd
-from covertvd.errors import DomainError
+from covertvd.errors import AccuracyError, DomainError
 from covertvd.expansions import coeffs_c
 from covertvd.tvd import (
     _BASELINE_PRECISION,
@@ -182,6 +182,11 @@ class TestTvdSeries:
         for n, tau in ((100, 0.45), (500, 0.3), (1000, 0.49)):
             ev = tvd_series(ChannelPoint.from_tau(n, tau))
             assert 0.0 <= ev.value <= 1.0
+
+    @pytest.mark.parametrize("n, K", ((10**18, 20), (398107170553497250, 0)))
+    def test_prefactor_overflow_is_accuracy_error(self, n, K):
+        with pytest.raises(AccuracyError, match="no reliable digit"):
+            tvd_series(ChannelPoint.from_tau(n, 0.45), K=K)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
