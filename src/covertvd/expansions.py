@@ -24,9 +24,9 @@ The three series target different argument regimes of the shape a:
 
 All prefactors e^(-z) z^(a+1) / Gamma(a+1) are evaluated as exp(log-sum)
 so blocklengths n >= 1e3 neither overflow nor underflow.  The log-sum's
-terms grow like a ln a; where their rounding alone overflows the exp
-(n ~ 1e17 and beyond), the prefactor has no digit left and AccuracyError
-is raised instead of a value.
+terms grow like a ln a; past a ln a = MAX_A_LOG_A (a ~ 1.5e13, n ~ 3e13)
+their rounding alone moves the exponent by more than 0.1, the prefactor
+has no reliable digit, and AccuracyError is raised instead of a value.
 
 Each quantity is computed once, by its recurrence.  The identities that
 cross-check the recurrences (c*_k = (-1)^k k! c_k, and the closed-form
@@ -37,6 +37,7 @@ at run time.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -47,6 +48,11 @@ from .types import check_int
 #: Largest supported truncation order; k! c_k growth stays inside double
 #: range with headroom below this.
 MAX_ORDER = 60
+
+#: Past this a*ln(a) (a ~ 1.5e13, n = 2a ~ 3e13) the terms of a Gamma(a) log
+#: density or of the series' log prefactor, each ~a*ln(a), round to more than
+#: 0.1 in the exponent, so its exp has no reliable digit.
+MAX_A_LOG_A = 0.1 / sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -178,18 +184,18 @@ def phi_transition(a: float, z: float, K: int) -> PhiSequence:
 
 
 def _prefactor(a: float, z: float) -> float:
-    """e^(-z) z^(a+1) / Gamma(a+1), as the exp of its log.
+    """e^(-z) z^(a+1) / Gamma(a+1), as the exp of its log; AccuracyError
+    past a ln a = MAX_A_LOG_A, where that log has no reliable digit.
 
-    The true value is below sqrt(a + 1) < 1e155, so an exp that overflows
-    means rounding alone put the log off by hundreds: AccuracyError.
+    Below it the exp does not overflow: the true value is below
+    sqrt(a + 1) < 4e6, and the log's rounding is far below the ~700 an
+    overflow would need.
     """
-    log_pre = -z + (a + 1.0) * math.log(z) - math.lgamma(a + 1.0)
-    try:
-        return math.exp(log_pre)
-    except OverflowError:
+    if a * math.log(a) > MAX_A_LOG_A:
         raise AccuracyError(
             f"series prefactor e^(-z) z^(a+1)/Gamma(a+1) has no reliable digit at a={a}, z={z}"
-        ) from None
+        )
+    return math.exp(-z + (a + 1.0) * math.log(z) - math.lgamma(a + 1.0))
 
 
 def _sum_optimal(terms: list[float]) -> tuple[float, int]:

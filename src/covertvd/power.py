@@ -25,21 +25,15 @@ where lambda rounds to 1 but y stays positive.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, DomainError
+from .expansions import MAX_A_LOG_A
 from .tvd import _fg, _tvd_value
 from .types import check_blocklength, check_sigma2
 
 #: Relative step or bracket width at which the Newton iteration stops.
 _REL_TOL = 1e-10
-
-#: Past this a*ln(a) (a = n/2, n ~ 4e13) the terms of the Gamma(a) log density,
-#: each ~a*ln(a), round to more than 0.1 in the exponent: the Newton slope has
-#: no reliable digit, its exp can overflow, and a wrong slope stops the
-#: iteration early.  p_exact bisects there instead.
-_SLOPE_MAX_A_LOG_A = 0.1 / sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -166,9 +160,11 @@ def p_exact(n: int, delta: float, sigma2: float = 1.0) -> PowerInterval:
 
 def _tvd_slope(n: int, theta: float, log_norm: float) -> float:
     """dV/dtheta = p_a(g) g / (1 + theta) at a = n/2, p_a the Gamma(a) density
-    with log_norm = lgamma(a); 0.0 (no Newton step) past _SLOPE_MAX_A_LOG_A."""
+    with log_norm = lgamma(a); 0.0 (no Newton step) past MAX_A_LOG_A, where
+    that density has no reliable digit, its exp can overflow, and a wrong
+    slope would stop the iteration early, so p_exact bisects there."""
     a = 0.5 * n
-    if a * math.log(a) > _SLOPE_MAX_A_LOG_A:
+    if a * math.log(a) > MAX_A_LOG_A:
         return 0.0
     g = _fg(n, theta)[1]
     return math.exp(a * math.log(g) - g - log_norm) / (1.0 + theta)

@@ -22,21 +22,23 @@ ufuncs, with the same bits, but called with Python floats and returning a
 Python float, without the ufunc's type resolution and 0-d array boxing
 (about 0.3 us per call instead of about 1.5 us).
 
-The extension is loaded without running scipy/special/__init__.py, whose
-array-API backend layer pulls in numpy.f2py, numpy.testing and more:
-import covertvd then loads scipy's top-level init, scipy._cyutility,
-scipy._lib._ccallback and the six compiled scipy.special extensions
-(cython_special, _ufuncs, _ufuncs_cxx, _gufuncs, _special_ufuncs and
-_ellip_harm_2), and takes about 0.25-0.3 s in a fresh interpreter instead
-of about 0.6 s (verified on scipy 1.17.1).  A later import scipy.special
-runs the full package init as usual and reuses those extensions.  One
-caveat: another thread that imports scipy.special for the first time
-while covertvd itself is being imported could see the bare stand-in
-package.
+The extension is loaded by _bare_import, without running
+scipy/special/__init__.py, whose array-API backend layer pulls in
+numpy.f2py, numpy.testing and more: import covertvd then loads scipy's
+top-level init, scipy._cyutility, scipy._lib._ccallback and the six
+compiled scipy.special extensions (cython_special, _ufuncs, _ufuncs_cxx,
+_gufuncs, _special_ufuncs and _ellip_harm_2), and takes about 0.25-0.3 s
+in a fresh interpreter instead of about 0.6 s (verified on scipy 1.17.1).
+A later import scipy.special runs the full package init as usual and
+reuses those extensions.  oracles.tvd_quadrature loads scipy's quad the
+same way, from scipy.integrate._quadpack_py.  One caveat: another thread
+that imports the package for the first time while _bare_import loads
+from it could see the bare stand-in.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 import os
 import sys
@@ -46,39 +48,37 @@ from .errors import AccuracyError, DomainError
 from .types import check_int
 
 
-def _cython_special() -> types.ModuleType:
-    """scipy.special.cython_special, imported without scipy.special's __init__
-    if that has not run yet.
+def _bare_import(package: str, module: str) -> types.ModuleType:
+    """package.module, imported without package's __init__ if that has not
+    run yet (package is a subpackage such as scipy.special).
 
-    A bare package module stands in for scipy.special while the extension
-    loads, so only its compiled siblings are imported.  Afterwards it is
-    removed from sys.modules together with the submodules it gathered:
-    the bound kernels keep those alive, and a later import scipy.special
-    (or scipy.special.cython_special) imports them again and binds them as
-    attributes of the real package.  If scipy.special is already loaded,
-    or the bare import fails, it is the plain import.
+    A bare package module, with the parent's directory of that name as its
+    __path__, stands in for package while the module loads, so only the
+    module and the siblings it imports are loaded.  Afterwards it is removed
+    from sys.modules together with the package.* entries it gathered: the
+    caller's references keep those alive, and a later import of package (or
+    of package.module) imports them again and binds them as attributes of
+    the real package.  If package is already loaded, or the bare import
+    raises ImportError, it is the plain import.
     """
-    if "scipy.special" not in sys.modules:
-        import scipy
-
-        bare = types.ModuleType("scipy.special")
-        bare.__path__ = [os.path.join(p, "special") for p in scipy.__path__]
-        sys.modules["scipy.special"] = bare
+    if package not in sys.modules:
+        parent, _, name = package.rpartition(".")
+        bare = types.ModuleType(package)
+        bare.__path__ = [os.path.join(p, name) for p in importlib.import_module(parent).__path__]
+        sys.modules[package] = bare
         try:
-            from scipy.special import cython_special
-            return cython_special
+            return importlib.import_module(f"{package}.{module}")
         except ImportError:
             pass
         finally:
-            if sys.modules.get("scipy.special") is bare:
-                for name in [m for m in sys.modules if m.startswith("scipy.special.")]:
-                    del sys.modules[name]
-                del sys.modules["scipy.special"]
-    from scipy.special import cython_special
-    return cython_special
+            if sys.modules.get(package) is bare:
+                for entry in [m for m in sys.modules if m.startswith(package + ".")]:
+                    del sys.modules[entry]
+                del sys.modules[package]
+    return importlib.import_module(f"{package}.{module}")
 
 
-_cs = _cython_special()
+_cs = _bare_import("scipy.special", "cython_special")
 gammainc, gammaincc, ndtri = _cs.gammainc, _cs.gammaincc, _cs.ndtri
 
 _SQRT2 = math.sqrt(2.0)

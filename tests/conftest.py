@@ -1,11 +1,16 @@
-"""Shared independent oracles for the test suite.
+"""Shared independent oracles for the test suite, and a fresh-interpreter
+runner for import-footprint tests.
 
-These deliberately avoid the library's incomplete-gamma path (scipy's
+The oracles deliberately avoid the library's incomplete-gamma path (scipy's
 gammainc): regularized gamma values come from adaptive quadrature of the
 log-stable integrand, erfc from quadrature of the Gaussian tail.
 """
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -51,3 +56,17 @@ def gamma_oracle():
 @pytest.fixture(scope="session")
 def erfc_oracle():
     return quad_erfc
+
+
+def _run_python(code: str) -> None:
+    """Run code in a fresh interpreter that imports covertvd from this tree."""
+    src = os.path.dirname(os.path.dirname(covertvd.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert out.returncode == 0, out.stderr
+
+
+@pytest.fixture(scope="session")
+def run_python():
+    return _run_python

@@ -128,17 +128,57 @@ class TestSeriesTermOverflow:
 
 class TestHugeBlocklengthDensity:
     # the log of the Gamma(n/2) density (quadrature) or of the series
-    # prefactor has no reliable digit here, and its exp overflows
+    # prefactor has no reliable digit here; in all but the last case its exp
+    # overflows
     @pytest.mark.parametrize("argv", [
         ("--n", str(10**18), "--tau", "0.5", "--method", "quadrature"),
         ("--n", str(10**20), "--tau", "0.3", "--method", "quadrature"),
         ("--n", str(10**18), "--tau", "0.45", "--method", "series"),
         ("--n", "398107170553497250", "--tau", "0.45", "--method", "series", "--k", "0"),
+        # here the prefactor's exp does not overflow, but printed 0.99999999 (V = 0.974)
+        ("--n", str(10**16), "--tau", "0.45", "--method", "series"),
     ])
     def test_tvd_exits_accuracy(self, capsys, argv):
         code, _, err = run_cli(capsys, "tvd", *argv)
         assert code == EXIT_ACCURACY, err
         assert "no reliable digit" in err
+
+
+def test_import_footprint(run_python, tmp_path):
+    # every subcommand but tvd --method quadrature runs without scipy.integrate,
+    # the full scipy.special and scipy's array-API layer; that one adds
+    # scipy.integrate._quadpack_py and the array-API layer, but no package init
+    # of scipy.integrate, scipy.optimize, scipy.linalg, scipy.sparse or
+    # scipy.special
+    run_python(f"""
+        import sys
+        from covertvd.cli import main
+        point = ["--n", "1000", "--tau", "0.7"]
+        snr = ["--n", "100000", "--eps", "0.1", "--power", "0.05"]
+        for argv in (
+            ["tvd", *point],
+            ["tvd", *point, "--method", "series"],
+            ["bounds", *point],
+            ["power", "--n", "2000", "--delta", "0.1"],
+            ["throughput", "--kind", "covert", "--n", "2000", "--eps", "1e-3", "--delta", "0.1"],
+            ["throughput", "--kind", "converse", *snr],
+            ["throughput", "--kind", "ach-na", *snr, "--mu", "0.5", "--tau0", "0.05"],
+            ["throughput", "--kind", "ach-full", *snr, "--mu", "0.5"],
+            ["sweep", "--tau", "0.5", "--n-min", "1000", "--n-max", "100000", "--points", "4"],
+            ["mc", *point, "--m", "1000", "--seed", "1"],
+            ["fit-rate", "--tau", "0.7"],
+            ["figures", "--outdir", {str(tmp_path)!r}],
+        ):
+            assert main(argv) == 0, argv
+        for name in ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse",
+                     "numpy.f2py", "numpy.testing", "scipy._lib.array_api_compat",
+                     "scipy.special"):
+            assert name not in sys.modules, name
+        assert main(["tvd", *point, "--method", "quadrature"]) == 0
+        for name in ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse"):
+            assert name not in sys.modules, name
+        assert not hasattr(sys.modules.get("scipy.special"), "__file__")
+    """)
 
 
 # The documented domain: n <= 1e6, tau in (0, 1), delta in [1e-6, 1).  Sample

@@ -301,10 +301,20 @@ class TestHugeShapePrefactor:
         (gamma_series_lower, 3.3375630981492705e18, 3.337563079880272e18),
         (gamma_series_upper, 5e17, 5e17 + 1e10),
         (gamma_series_transition, 4.909384718029592e17, 4.909384718029592e17),
+        # no overflow here, but the rounded log prefactor gave -2.0e-18 and 0.0
+        (gamma_series_lower, 1e18, 1e18 - 1e9),
+        (gamma_series_lower, 1e19, 1e19 - 1e9),
+        (gamma_series_upper, 1e19, 1e19 + 1e10),
     ])
     def test_accuracy_error(self, series, a, z):
         with pytest.raises(AccuracyError, match="no reliable digit"):
             series(a, z)
+
+    def test_threshold_is_a_log_a(self):
+        # just below MAX_A_LOG_A (a ~ 1.48e13) a value, just above it none
+        assert 0.0 < gamma_series_transition(1.4e13, 1.4e13) < 1.0
+        with pytest.raises(AccuracyError, match="no reliable digit"):
+            gamma_series_transition(1.6e13, 1.6e13)
 
 
 class TestStirling:

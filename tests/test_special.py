@@ -1,10 +1,6 @@
 """Baseline special functions against quadrature oracles and identities."""
 
 import math
-import os
-import subprocess
-import sys
-import textwrap
 
 import numpy as np
 import pytest
@@ -12,7 +8,6 @@ import scipy.special as sc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import covertvd
 from covertvd import special
 from covertvd.errors import AccuracyError, DomainError
 from covertvd.special import (
@@ -201,20 +196,11 @@ class TestQInv:
             q_inv(p)
 
 
-def run_python(code: str) -> None:
-    """Run code in a fresh interpreter that imports covertvd from this tree."""
-    src = os.path.dirname(os.path.dirname(covertvd.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
-                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
-    assert out.returncode == 0, out.stderr
-
-
 class TestIsolatedLoad:
     """import covertvd binds cython_special without running scipy.special's
     package init, and leaves scipy.special importable as usual."""
 
-    def test_package_init_not_run(self):
+    def test_package_init_not_run(self, run_python):
         run_python("""
             import sys
             import covertvd
@@ -224,7 +210,7 @@ class TestIsolatedLoad:
             assert abs(reg_lower_gamma(2.0, 1.0) - (1.0 - 2.0 / 2.718281828459045)) < 1e-15
         """)
 
-    def test_scipy_special_loads_afterwards(self):
+    def test_scipy_special_loads_afterwards(self, run_python):
         run_python("""
             import covertvd
             from covertvd import special
@@ -247,7 +233,7 @@ class TestIsolatedLoad:
             assert scipy.stats.norm.sf(0.0) == 0.5
         """)
 
-    def test_binds_loaded_scipy_special(self):
+    def test_binds_loaded_scipy_special(self, run_python):
         run_python("""
             import scipy.special
             package = scipy.special
@@ -258,7 +244,7 @@ class TestIsolatedLoad:
             assert special.gammainc is cython_special.gammainc
         """)
 
-    def test_failed_isolated_import_falls_back(self):
+    def test_failed_isolated_import_falls_back(self, run_python):
         run_python("""
             import sys
 
