@@ -26,7 +26,9 @@ All prefactors e^(-z) z^(a+1) / Gamma(a+1) are evaluated as exp(log-sum)
 so blocklengths n >= 1e3 neither overflow nor underflow.  The log-sum's
 terms grow like a ln a; past a ln a = MAX_A_LOG_A (a ~ 1.5e13, n ~ 3e13)
 their rounding alone moves the exponent by more than 0.1, the prefactor
-has no reliable digit, and AccuracyError is raised instead of a value.
+has no reliable digit, and AccuracyError is raised instead of a value,
+except where the exponent lies so far below the double range that its
+rounding cannot lift it back: there the prefactor is 0.0 either way.
 
 Each quantity is computed once, by its recurrence.  The identities that
 cross-check the recurrences (c*_k = (-1)^k k! c_k, and the closed-form
@@ -53,6 +55,9 @@ MAX_ORDER = 60
 #: density or of the series' log prefactor, each ~a*ln(a), round to more than
 #: 0.1 in the exponent, so its exp has no reliable digit.
 MAX_A_LOG_A = 0.1 / sys.float_info.epsilon
+
+# log of the smallest subnormal double; exp of anything below it is 0.0
+_LOG_TINIEST = math.log(math.ulp(0.0))
 
 
 @dataclass(frozen=True)
@@ -184,18 +189,26 @@ def phi_transition(a: float, z: float, K: int) -> PhiSequence:
 
 
 def _prefactor(a: float, z: float) -> float:
-    """e^(-z) z^(a+1) / Gamma(a+1), as the exp of its log; AccuracyError
-    past a ln a = MAX_A_LOG_A, where that log has no reliable digit.
+    """e^(-z) z^(a+1) / Gamma(a+1), as the exp of its log.
 
-    Below it the exp does not overflow: the true value is below
-    sqrt(a + 1) < 4e6, and the log's rounding is far below the ~700 an
-    overflow would need.
+    Up to a ln a = MAX_A_LOG_A the exp does not overflow: the true value is
+    below sqrt(a + 1) < 4e6, and the log's rounding is far below the ~700
+    an overflow would need.  Past it the log has no reliable digit, and
+    AccuracyError is raised unless the log plus a bound on its rounding
+    (8 ulps of the sum of its terms' magnitudes) is still below the log of
+    the smallest subnormal, where the value is 0.0.
     """
+    log_z = math.log(z)
+    lg = math.lgamma(a + 1.0)
+    log_pre = -z + (a + 1.0) * log_z - lg
     if a * math.log(a) > MAX_A_LOG_A:
-        raise AccuracyError(
-            f"series prefactor e^(-z) z^(a+1)/Gamma(a+1) has no reliable digit at a={a}, z={z}"
-        )
-    return math.exp(-z + (a + 1.0) * math.log(z) - math.lgamma(a + 1.0))
+        slack = 8.0 * sys.float_info.epsilon * (z + (a + 1.0) * abs(log_z) + lg)
+        if log_pre + slack >= _LOG_TINIEST:
+            raise AccuracyError(
+                "series prefactor e^(-z) z^(a+1)/Gamma(a+1) has no reliable digit "
+                f"at a={a}, z={z}"
+            )
+    return math.exp(log_pre)
 
 
 def _sum_optimal(terms: list[float]) -> tuple[float, int]:

@@ -149,9 +149,9 @@ def tvd_quadrature(point: ChannelPoint) -> TvdEvaluation:
         return math.exp((half - 1.0) * math.log(t) - t - lg)
 
     # an imported scipy.integrate's quad is looked up on each call, so a
-    # patched scipy.integrate.quad is seen
-    package = sys.modules.get("scipy.integrate")
-    quad = _bare_quad() if package is None else package.quad
+    # patched scipy.integrate.quad is seen; the stand-in that _bare_import
+    # puts in sys.modules while another thread loads quad has none
+    quad = getattr(sys.modules.get("scipy.integrate"), "quad", None) or _bare_quad()
     # full_output=1 appends a warning message to the 3-tuple when quad warns
     try:
         out = quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=300, full_output=1)

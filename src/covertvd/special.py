@@ -31,9 +31,11 @@ _gufuncs, _special_ufuncs and _ellip_harm_2), and takes about 0.25-0.3 s
 in a fresh interpreter instead of about 0.6 s (verified on scipy 1.17.1).
 A later import scipy.special runs the full package init as usual and
 reuses those extensions.  oracles.tvd_quadrature loads scipy's quad the
-same way, from scipy.integrate._quadpack_py.  One caveat: another thread
-that imports the package for the first time while _bare_import loads
-from it could see the bare stand-in.
+same way, from scipy.integrate._quadpack_py.  _bare_import holds a lock
+while the stand-in is in sys.modules and loads each module once, so calls
+from several threads see one load.  One caveat: code elsewhere that
+imports the package for the first time while _bare_import loads from it
+could see the bare stand-in.
 """
 
 from __future__ import annotations
@@ -42,10 +44,15 @@ import importlib
 import math
 import os
 import sys
+import threading
 import types
 
 from .errors import AccuracyError, DomainError
 from .types import check_int
+
+
+_bare_lock = threading.Lock()
+_bare_modules: dict[str, types.ModuleType] = {}
 
 
 def _bare_import(package: str, module: str) -> types.ModuleType:
@@ -56,26 +63,34 @@ def _bare_import(package: str, module: str) -> types.ModuleType:
     __path__, stands in for package while the module loads, so only the
     module and the siblings it imports are loaded.  Afterwards it is removed
     from sys.modules together with the package.* entries it gathered: the
-    caller's references keep those alive, and a later import of package (or
-    of package.module) imports them again and binds them as attributes of
-    the real package.  If package is already loaded, or the bare import
-    raises ImportError, it is the plain import.
+    module is kept here, and a later import of package (or of
+    package.module) imports them again and binds them as attributes of the
+    real package.  The load holds _bare_lock, and a module once loaded bare
+    is returned again, so concurrent first calls load it once.  If package
+    is already loaded, or the bare import raises ImportError, it is the
+    plain import.
     """
-    if package not in sys.modules:
-        parent, _, name = package.rpartition(".")
-        bare = types.ModuleType(package)
-        bare.__path__ = [os.path.join(p, name) for p in importlib.import_module(parent).__path__]
-        sys.modules[package] = bare
-        try:
-            return importlib.import_module(f"{package}.{module}")
-        except ImportError:
-            pass
-        finally:
-            if sys.modules.get(package) is bare:
-                for entry in [m for m in sys.modules if m.startswith(package + ".")]:
-                    del sys.modules[entry]
-                del sys.modules[package]
-    return importlib.import_module(f"{package}.{module}")
+    name = f"{package}.{module}"
+    with _bare_lock:
+        if name in _bare_modules:
+            return _bare_modules[name]
+        if package not in sys.modules:
+            parent, _, leaf = package.rpartition(".")
+            bare = types.ModuleType(package)
+            roots = importlib.import_module(parent).__path__
+            bare.__path__ = [os.path.join(p, leaf) for p in roots]
+            sys.modules[package] = bare
+            try:
+                _bare_modules[name] = importlib.import_module(name)
+                return _bare_modules[name]
+            except ImportError:
+                pass
+            finally:
+                if sys.modules.get(package) is bare:
+                    for entry in [m for m in sys.modules if m.startswith(package + ".")]:
+                        del sys.modules[entry]
+                    del sys.modules[package]
+    return importlib.import_module(name)
 
 
 _cs = _bare_import("scipy.special", "cython_special")

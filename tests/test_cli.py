@@ -143,6 +143,14 @@ class TestHugeBlocklengthDensity:
         assert code == EXIT_ACCURACY, err
         assert "no reliable digit" in err
 
+    def test_series_prefactors_below_double_range(self, capsys):
+        # both series prefactors are exp(-O(1e12)) = 0.0, however their logs round
+        code, out, err = run_cli(capsys, "tvd", "--n", str(10**14), "--tau", "0.01",
+                                 "--method", "series")
+        assert code == EXIT_OK, err
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert (row["method"], row["value"], row["err_estimate"]) == ("series-low-tau", "1", "0")
+
 
 def test_import_footprint(run_python, tmp_path):
     # every subcommand but tvd --method quadrature runs without scipy.integrate,

@@ -316,6 +316,17 @@ class TestHugeShapePrefactor:
         with pytest.raises(AccuracyError, match="no reliable digit"):
             gamma_series_transition(1.6e13, 1.6e13)
 
+    @pytest.mark.parametrize("series, a, z", [
+        (gamma_series_lower, 2e13, 1.0),
+        (gamma_series_lower, 5e13, 0.75 * 5e13),
+        (gamma_series_upper, 5e13, 1.3 * 5e13),
+        (gamma_series_upper, 1e19, 2e19),
+    ])
+    def test_prefactor_far_below_double_range_is_zero(self, series, a, z):
+        # the log prefactor (~ -1e12 and below) has no reliable digit, but
+        # not even its rounding lifts its exp above the smallest subnormal
+        assert series(a, z) == 0.0
+
 
 class TestStirling:
     def test_ratio_near_one_at_large_n(self):

@@ -272,6 +272,39 @@ class TestBareQuadLoad:
             assert sol.success and abs(sol.y[0, -1] - math.exp(-1.0)) <= 1e-8
         """)
 
+    def test_concurrent_first_calls(self, run_python):
+        # the first call loads quad for ~0.2 s with a stand-in for
+        # scipy.integrate in sys.modules; threads arriving meanwhile wait
+        # for that one load instead of finding the stand-in
+        run_python("""
+            import threading
+            from covertvd import oracles, special
+            from covertvd.tvd import tvd_exact
+            from covertvd.types import ChannelPoint
+            points = [ChannelPoint.from_tau(n, tau) for n in (100, 1000) for tau in (0.3, 0.5, 0.8)]
+            start = threading.Barrier(len(points))
+            results, errors = {}, []
+
+            def run(point):
+                start.wait()
+                try:
+                    results[point] = oracles.tvd_quadrature(point)
+                except Exception as exc:
+                    errors.append(repr(exc))
+
+            threads = [threading.Thread(target=run, args=(p,)) for p in points]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert not errors, errors
+            for point in points:
+                assert results[point] == oracles.tvd_quadrature(point)
+                assert abs(results[point].value - tvd_exact(point).value) <= 1e-8
+            assert list(special._bare_modules) == ["scipy.special.cython_special",
+                                                   "scipy.integrate._quadpack_py"]
+        """)
+
     def test_failed_bare_import_falls_back(self, run_python):
         run_python("""
             import sys
