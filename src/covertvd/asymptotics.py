@@ -78,13 +78,20 @@ def sweep_tvd(tau: float, n_grid) -> ScalingSeries:
     return ScalingSeries(tau=tau, points=pts)
 
 
-def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    design = np.vstack([x, np.ones_like(x)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ np.array([slope, intercept])
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(intercept), r2
+def _ols(x: list[float], y: list[float]) -> tuple[float, float, float]:
+    """(slope, intercept, r^2) of the least-squares line through (x, y):
+    centred closed form with every sum taken by math.fsum."""
+    x_mean, y_mean = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx = [xi - x_mean for xi in x]
+    dy = [yi - y_mean for yi in y]
+    ss_x = math.fsum(u * u for u in dx)
+    if ss_x == 0.0:
+        raise FitError("blocklengths must differ in double precision")
+    slope = math.fsum(u * v for u, v in zip(dx, dy)) / ss_x
+    ss_res = math.fsum((v - slope * u) ** 2 for u, v in zip(dx, dy))
+    ss_tot = math.fsum(v * v for v in dy)
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return slope, y_mean - slope * x_mean, r2
 
 
 def fit_rate(series: ScalingSeries) -> RateFit:
@@ -94,36 +101,38 @@ def fit_rate(series: ScalingSeries) -> RateFit:
     when a stored value saturates at 1.0 in double precision the
     complement is re-evaluated in tail space from (n, tau), since 1 - v is
     then unrecoverable from v.  tau > 1/2: OLS of ln v vs ln n (expected
-    slope between 1 - 2 tau and (1 - 2 tau)/2).
+    slope between 1 - 2 tau and (1 - 2 tau)/2).  The line is the centred
+    closed-form OLS over Python floats with math.fsum sums (_ols).
     """
     if len(series.points) < 6:
         raise FitError(f"rate fit needs at least 6 points, got {len(series.points)}")
     if series.tau == 0.5:
         raise FitError("no power-law rate at the stationary exponent tau = 1/2")
-    ns = np.array([n for n, _ in series.points], dtype=float)
-    vals = np.array([v for _, v in series.points], dtype=float)
+    ns = [n for n, _ in series.points]
+    vals = [v for _, v in series.points]
+    log_ns = [math.log(n) for n in ns]
 
     if series.tau < 0.5:
-        comp = 1.0 - vals
-        if np.any(comp <= 0.0):
+        comp = [1.0 - v for v in vals]
+        if any(c <= 0.0 for c in comp):
             # stored values saturated at 1.0; re-evaluate 1 - v in tail space
-            comp = np.array(
-                [tvd_complement(ChannelPoint.from_tau(int(n), series.tau)) for n in ns]
-            )
-        if np.any(comp <= 0.0):
+            comp = [tvd_complement(ChannelPoint.from_tau(n, series.tau)) for n in ns]
+        if any(c <= 0.0 for c in comp):
             raise FitError("complement underflows double precision on this grid")
         # monotonicity checked on the complements, which stay resolvable
         # after the distance itself saturates at 1 in double precision
-        if not bool(np.all(np.diff(comp) < 0)):
+        if not all(b < a for a, b in zip(comp, comp[1:])):
             raise FitError("series must be strictly increasing for the approach-to-1 fit")
-        slope, intercept, r2 = _ols(np.log(ns), np.log(-np.log(comp)))
+        if comp[0] >= 1.0:
+            raise FitError("distance must be positive for the approach-to-1 fit")
+        slope, intercept, r2 = _ols(log_ns, [math.log(-math.log(c)) for c in comp])
         transform = TRANSFORM_LOG_NEG_LOG
     else:
-        if not bool(np.all(np.diff(vals) < 0)):
+        if not all(b < a for a, b in zip(vals, vals[1:])):
             raise FitError("series must be strictly decreasing for the decay-to-0 fit")
         if vals[-1] <= 0.0:
             raise FitError("distance underflows double precision on this grid")
-        slope, intercept, r2 = _ols(np.log(ns), np.log(vals))
+        slope, intercept, r2 = _ols(log_ns, [math.log(v) for v in vals])
         transform = TRANSFORM_LOG_LOG
     return RateFit(exponent=slope, prefactor=math.exp(intercept), r_squared=r2, transform=transform)
 

@@ -30,17 +30,20 @@ has no reliable digit, and AccuracyError is raised instead of a value,
 except where the exponent lies so far below the double range that its
 rounding cannot lift it back: there the prefactor is 0.0 either way.
 
-Each quantity is computed once, by its recurrence.  The identities that
-cross-check the recurrences (c*_k = (-1)^k k! c_k, and the closed-form
-Phi_k sum in phi_linear_closed_form) are verified by the test suite, not
-at run time.
+Each recurrence lives in one private generator (_c, _c_star, _phi_linear):
+coeffs_c and phi_linear collect it, and the linear-regime series draw from
+it lazily, up to the pair of terms that stops the optimal truncation.  The
+identities that cross-check the recurrences (c*_k = (-1)^k k! c_k, and the
+literal closed-form Phi_k sum) are verified by the test suite, not at run
+time.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .errors import AccuracyError, DomainError, OrderError, RegimeError
@@ -93,6 +96,35 @@ def _check_shape(a: float) -> None:
         raise DomainError(f"shape parameter must be finite and positive, got {a!r}")
 
 
+def _c(a: float, K: int) -> Iterator[float]:
+    """c_0..c_K of coeffs_c, drawn one at a time."""
+    prev, cur = 1.0, 0.0
+    yield prev
+    for k in range(1, K + 1):
+        yield cur
+        prev, cur = cur, (k * cur - a * prev) / (k + 1)
+
+
+def _c_star(a: float, K: int) -> Iterator[float]:
+    """c*_0..c*_K of coeffs_c, drawn one at a time."""
+    prev, cur = 1.0, 0.0
+    yield prev
+    for k in range(1, K + 1):
+        yield cur
+        prev, cur = cur, -k * (cur + a * prev)
+
+
+def _phi_linear(w: float, K: int) -> Iterator[float]:
+    """Phi_0..Phi_K at w = z - a != 0, drawn one at a time:
+    Phi_0 = (e^w - 1)/w, Phi_k = [e^w - k Phi_{k-1}] / w."""
+    ew = math.exp(w)
+    phi = math.expm1(w) / w
+    yield phi
+    for k in range(1, K + 1):
+        phi = (ew - k * phi) / w
+        yield phi
+
+
 def coeffs_c(a: float, K: int) -> ExpansionCoeffs:
     """Coefficients c_0..c_K and c*_0..c*_K of the linear-argument expansions.
 
@@ -104,14 +136,7 @@ def coeffs_c(a: float, K: int) -> ExpansionCoeffs:
     """
     _check_shape(a)
     _check_order(K)
-    c = [1.0, 0.0]
-    for k in range(1, K):
-        c.append((k * c[k] - a * c[k - 1]) / (k + 1))
-
-    c_star = [1.0, 0.0]
-    for k in range(1, K):
-        c_star.append(-k * (c_star[k] + a * c_star[k - 1]))
-    return ExpansionCoeffs(a=a, c=tuple(c[: K + 1]), c_star=tuple(c_star[: K + 1]))
+    return ExpansionCoeffs(a=a, c=tuple(_c(a, K)), c_star=tuple(_c_star(a, K)))
 
 
 def _transition_coeffs(a: float, K: int) -> tuple[float, ...]:
@@ -123,48 +148,33 @@ def _transition_coeffs(a: float, K: int) -> tuple[float, ...]:
     return tuple(c[: K + 1])
 
 
-def phi_linear_closed_form(a: float, z: float, K: int) -> tuple[float, ...]:
-    """Closed-form Phi_k(z - a) = k!/(a-z)^(k+1) - e^(z-a) sum_j k!/((k-j)! (a-z)^(j+1)).
-
-    Literal evaluation of the displayed sum.  Cancellation grows like
-    k!/|z-a|^k, so for small |z-a| and large k the result carries the
-    corresponding loss of relative precision (see phi_linear).
-    """
-    _check_shape(a)
-    _check_order(K)
-    w = z - a
-    if w == 0.0:
-        raise RegimeError("Phi_k(z - a) is singular at z = a; use the transition regime")
-    amz = -w
-    ew = math.exp(w)
-    out = []
-    fact = 1.0
-    for k in range(K + 1):
-        if k > 0:
-            fact *= k
-        inner = math.fsum(fact / (math.factorial(k - j) * amz ** (j + 1)) for j in range(k + 1))
-        out.append(fact / amz ** (k + 1) - ew * inner)
-    return tuple(out)
-
-
 def phi_linear(a: float, z: float, K: int) -> PhiSequence:
     """Phi_k(z - a) for k = 0..K by the forward recurrence
     Phi_k = [e^(z-a) - k Phi_{k-1}] / (z - a), seeded at
     Phi_0 = (e^(z-a) - 1)/(z - a).
 
-    phi_linear_closed_form is the literal reference sum it is tested
-    against.
+    The test suite checks it against the literal closed-form sum
+    Phi_k = k!/(a-z)^(k+1) - e^(z-a) sum_j k!/((k-j)! (a-z)^(j+1)).
     """
     _check_shape(a)
     _check_order(K)
     w = z - a
     if w == 0.0:
         raise RegimeError("Phi_k(z - a) is singular at z = a; use the transition regime")
-    ew = math.exp(w)
-    values = [math.expm1(w) / w]
-    for k in range(1, K + 1):
-        values.append((ew - k * values[k - 1]) / w)
-    return PhiSequence(values=tuple(values), a=a, z=z)
+    return PhiSequence(values=tuple(_phi_linear(w, K)), a=a, z=z)
+
+
+def _phi_transition(a: float, z: float, K: int) -> list[float]:
+    """Phi_0(a, z)..Phi_K(a, z) of phi_transition, for arguments it has
+    validated."""
+    d = z - a
+    gauss = math.exp(-d * d / (2.0 * a))
+    values = [math.sqrt(math.pi / (2.0 * a)) * erfc(d / math.sqrt(2.0 * a))]
+    if K >= 1:
+        values.append(gauss / a)
+    for k in range(2, K + 1):
+        values.append(((k - 1) * values[k - 2] + (d / a) ** (k - 1) * gauss) / a)
+    return values
 
 
 def phi_transition(a: float, z: float, K: int) -> PhiSequence:
@@ -178,18 +188,11 @@ def phi_transition(a: float, z: float, K: int) -> PhiSequence:
     _check_order(K)
     if not (math.isfinite(z) and z > 0.0):
         raise DomainError(f"argument must be finite and positive, got z={z!r}")
-    d = z - a
-    gauss = math.exp(-d * d / (2.0 * a))
-    values = [math.sqrt(math.pi / (2.0 * a)) * erfc(d / math.sqrt(2.0 * a))]
-    if K >= 1:
-        values.append(gauss / a)
-    for k in range(2, K + 1):
-        values.append(((k - 1) * values[k - 2] + (d / a) ** (k - 1) * gauss) / a)
-    return PhiSequence(values=tuple(values), a=a, z=z)
+    return PhiSequence(values=tuple(_phi_transition(a, z, K)), a=a, z=z)
 
 
-def _prefactor(a: float, z: float) -> float:
-    """e^(-z) z^(a+1) / Gamma(a+1), as the exp of its log.
+def _prefactor(a: float, z: float, lg: float) -> float:
+    """e^(-z) z^(a+1) / Gamma(a+1), as the exp of its log; lg = lgamma(a + 1).
 
     Up to a ln a = MAX_A_LOG_A the exp does not overflow: the true value is
     below sqrt(a + 1) < 4e6, and the log's rounding is far below the ~700
@@ -199,7 +202,6 @@ def _prefactor(a: float, z: float) -> float:
     the smallest subnormal, where the value is 0.0.
     """
     log_z = math.log(z)
-    lg = math.lgamma(a + 1.0)
     log_pre = -z + (a + 1.0) * log_z - lg
     if a * math.log(a) > MAX_A_LOG_A:
         slack = 8.0 * sys.float_info.epsilon * (z + (a + 1.0) * abs(log_z) + lg)
@@ -211,21 +213,21 @@ def _prefactor(a: float, z: float) -> float:
     return math.exp(log_pre)
 
 
-def _sum_optimal(terms: list[float]) -> tuple[float, int]:
-    """Sum (even, odd) term pairs until the pair envelope starts growing.
+def _sum_optimal(terms: Iterator[float]) -> tuple[float, int]:
+    """Sum (even, odd) term pairs drawn from terms until the pair envelope
+    starts growing; no term past the first growing pair is drawn.
 
     The linear-regime series oscillate with period two (odd terms are
     suppressed by an extra half power of the shape), so the classical
     smallest-magnitude-term stop is applied to the pair envelope
-    max(|t_2m|, |t_2m+1|) rather than to raw terms.  Returns
-    (partial sum, number of terms included).
+    max(|t_2m|, |t_2m+1|) rather than to raw terms; the last pair may be a
+    lone term.  Returns (partial sum, number of terms included).
     """
-    total = 0.0
-    prev = math.inf
-    used = 0
-    for start in range(0, len(terms), 2):
-        pair = terms[start:start + 2]
-        env = max(abs(t) for t in pair)
+    total, used, prev = 0.0, 0, math.inf
+    for even in terms:
+        odd = next(terms, None)
+        pair = (even,) if odd is None else (even, odd)
+        env = max(map(abs, pair))
         if env != 0.0:
             if env > prev:
                 break
@@ -235,54 +237,46 @@ def _sum_optimal(terms: list[float]) -> tuple[float, int]:
     return total, used
 
 
-def _upper_terms(cf: ExpansionCoeffs, z: float) -> list[float]:
-    d = z - cf.a
-    terms = []
-    for k, cs in enumerate(cf.c_star):
+def _upper_terms(a: float, z: float, K: int) -> Iterator[float]:
+    """Upper-series terms c*_k / (z - a)^(k+1), k = 0..K, drawn one at a time."""
+    d = z - a
+    for k, cs in enumerate(_c_star(a, K)):
         try:
-            terms.append(cs / d ** (k + 1))
+            term = cs / d ** (k + 1)
         except OverflowError:
             # d^(k+1) passed 1.8e308; at n <= 1e6 such a term is below
             # 1e-96 of the first one, 1/d, so it counts as 0.0
-            terms.append(0.0)
-    return terms
+            term = 0.0
+        yield term
 
 
-def _lower_terms(cf: ExpansionCoeffs, z: float) -> list[float]:
-    phi = phi_linear(cf.a, z, len(cf.c) - 1)
-    return [ck * pk for ck, pk in zip(cf.c, phi.values)]
+def _lower_terms(a: float, z: float, K: int) -> Iterator[float]:
+    """Lower-series terms c_k Phi_k(z - a), k = 0..K, drawn one at a time."""
+    return map(operator.mul, _c(a, K), _phi_linear(z - a, K))
 
 
-def _gamma_series_lower(cf: ExpansionCoeffs, z: float) -> tuple[float, int]:
-    """Lower series at z from the coefficients of shape cf.a (coeffs_c has
-    validated the shape and the order); returns (value, terms used)."""
-    a = cf.a
-    if not math.isfinite(z) or z < 0.0:
-        raise DomainError(f"argument must be finite and nonnegative, got z={z!r}")
-    if z == 0.0:
-        return 0.0, 0
+def _gamma_series_lower(a: float, z: float, K: int, lg: float) -> tuple[float, int]:
+    """(value, terms used) of the lower series at z < a, lg = lgamma(a + 1),
+    for a shape, order and finite z > 0 the caller has validated."""
     if z >= a:
         raise RegimeError(f"lower expansion requires z < a, got z={z}, a={a}")
-    total, used = _sum_optimal(_lower_terms(cf, z))
-    return _prefactor(a, z) * total, used
+    total, used = _sum_optimal(_lower_terms(a, z, K))
+    return _prefactor(a, z, lg) * total, used
 
 
-def _gamma_series_upper(cf: ExpansionCoeffs, z: float) -> tuple[float, int]:
-    """Upper series at z, as _gamma_series_lower."""
-    a = cf.a
-    if not math.isfinite(z):
-        raise DomainError(f"argument must be finite, got z={z!r}")
+def _gamma_series_upper(a: float, z: float, K: int, lg: float) -> tuple[float, int]:
+    """(value, terms used) of the upper series at z > a, as _gamma_series_lower."""
     if z <= a:
         raise RegimeError(f"upper expansion requires z > a, got z={z}, a={a}")
-    total, used = _sum_optimal(_upper_terms(cf, z))
-    return _prefactor(a, z) * total, used
+    total, used = _sum_optimal(_upper_terms(a, z, K))
+    return _prefactor(a, z, lg) * total, used
 
 
 def _transition_sum(a: float, phi: Sequence[float]) -> float:
     """Transition-regime sum a^(a+1) e^(-a) / Gamma(a+1) * sum_k c_k phi_k
     over the given Phi values (one sequence, or a difference of two)."""
     c = _transition_coeffs(a, len(phi) - 1)
-    return _prefactor(a, a) * math.fsum(ck * pk for ck, pk in zip(c, phi))
+    return _prefactor(a, a, math.lgamma(a + 1.0)) * math.fsum(ck * pk for ck, pk in zip(c, phi))
 
 
 def gamma_series_lower(a: float, z: float, K: int = 20) -> float:
@@ -291,7 +285,13 @@ def gamma_series_lower(a: float, z: float, K: int = 20) -> float:
     Accurate once a - z is several sqrt(a); near the transition point use
     gamma_series_transition instead.
     """
-    return _gamma_series_lower(coeffs_c(a, K), z)[0]
+    _check_shape(a)
+    _check_order(K)
+    if not math.isfinite(z) or z < 0.0:
+        raise DomainError(f"argument must be finite and nonnegative, got z={z!r}")
+    if z == 0.0:
+        return 0.0
+    return _gamma_series_lower(a, z, K, math.lgamma(a + 1.0))[0]
 
 
 def gamma_series_upper(a: float, z: float, K: int = 20) -> float:
@@ -300,7 +300,11 @@ def gamma_series_upper(a: float, z: float, K: int = 20) -> float:
     The series is asymptotic, not convergent; summation stops at the
     smallest-magnitude term when that precedes order K.
     """
-    return _gamma_series_upper(coeffs_c(a, K), z)[0]
+    _check_shape(a)
+    _check_order(K)
+    if not math.isfinite(z):
+        raise DomainError(f"argument must be finite, got z={z!r}")
+    return _gamma_series_upper(a, z, K, math.lgamma(a + 1.0))[0]
 
 
 def gamma_series_transition(a: float, z: float, K: int = 20) -> float:
@@ -313,7 +317,7 @@ def gamma_series_transition(a: float, z: float, K: int = 20) -> float:
         raise RegimeError(
             f"transition expansion requires |z - a| <= a^(2/3), got |{z} - {a}| = {abs(z - a)}"
         )
-    return _transition_sum(a, phi_transition(a, z, K).values)
+    return _transition_sum(a, _phi_transition(a, z, K))
 
 
 def stirling_gamma_halfn(n: int) -> float:

@@ -2,9 +2,10 @@
 path: adaptive quadrature of the radial density-difference integral, and a
 seeded likelihood-ratio-test simulator verifying TVD = 1 - (alpha + beta).
 
-The quadrature is scipy's public quad.  Unless scipy.integrate is already
-imported, it comes from scipy.integrate._quadpack_py, loaded on the first
-call by special._bare_import without scipy/integrate/__init__.py (which
+The quadrature is scipy's public quad, always taken through _bare_quad.
+Unless scipy.integrate is already imported, it comes from
+scipy.integrate._quadpack_py, loaded on the first call by
+special._bare_import without scipy/integrate/__init__.py (which
 imports the ODE, BVP and cubature solvers and so scipy.optimize,
 scipy.linalg, scipy.sparse and the full scipy.special): about 0.2 s
 instead of about 0.6 s on scipy 1.17.1.  _quadpack_py still imports
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,13 +148,9 @@ def tvd_quadrature(point: ChannelPoint) -> TvdEvaluation:
     def integrand(t: float) -> float:
         return math.exp((half - 1.0) * math.log(t) - t - lg)
 
-    # an imported scipy.integrate's quad is looked up on each call, so a
-    # patched scipy.integrate.quad is seen; the stand-in that _bare_import
-    # puts in sys.modules while another thread loads quad has none
-    quad = getattr(sys.modules.get("scipy.integrate"), "quad", None) or _bare_quad()
     # full_output=1 appends a warning message to the 3-tuple when quad warns
     try:
-        out = quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=300, full_output=1)
+        out = _bare_quad()(integrand, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=300, full_output=1)
     except OverflowError:
         # the density itself stays below 1e162; only its log's rounding
         # (terms ~ (n/2) ln(n/2), n ~ 1e18 and beyond) overflows the exp

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .errors import ConsistencyError, DomainError
 from .expansions import MAX_A_LOG_A
-from .tvd import _fg, _tvd_value
+from .tvd import _fg, _tvd_fg, _tvd_value
 from .types import check_blocklength, check_sigma2
 
 #: Relative step or bracket width at which the Newton iteration stops.
@@ -53,19 +53,18 @@ class CovertBudget:
 
     @classmethod
     def from_delta(cls, n: int, delta: float) -> "CovertBudget":
-        n = check_blocklength(n)
-        if not (math.isfinite(delta) and 0.0 < delta < 1.0):
-            raise DomainError(f"TVD budget must lie in (0, 1), got {delta!r}")
-        log_y4 = (4.0 / n) * math.log1p(-delta)            # ln (1-delta)^(4/n)
-        log_y04 = (2.0 / n) * math.log1p(-delta * delta)   # ln (1-delta^2)^(2/n)
-        return cls(
-            delta=delta,
-            n=n,
-            y=0.25 * math.exp(log_y4),
-            y0=0.25 * math.exp(log_y04),
-            lam=math.sqrt(-math.expm1(log_y4)),
-            lam1=math.sqrt(-math.expm1(log_y04)),
-        )
+        return cls(delta, *_budget(n, delta))
+
+
+def _budget(n: int, delta: float) -> tuple[int, float, float, float, float]:
+    """(n, y, y0, lambda, lambda1) of CovertBudget, with n validated."""
+    n = check_blocklength(n)
+    if not (math.isfinite(delta) and 0.0 < delta < 1.0):
+        raise DomainError(f"TVD budget must lie in (0, 1), got {delta!r}")
+    log_y4 = (4.0 / n) * math.log1p(-delta)            # ln (1-delta)^(4/n)
+    log_y04 = (2.0 / n) * math.log1p(-delta * delta)   # ln (1-delta^2)^(2/n)
+    y, y0 = 0.25 * math.exp(log_y4), 0.25 * math.exp(log_y04)
+    return n, y, y0, math.sqrt(-math.expm1(log_y4)), math.sqrt(-math.expm1(log_y04))
 
 
 @dataclass(frozen=True)
@@ -96,8 +95,8 @@ def p_nec(n: int, delta: float, sigma2: float = 1.0) -> float:
     scaled by sigma2.
     """
     check_sigma2(sigma2)
-    budget = CovertBudget.from_delta(n, delta)
-    return _snr_from_lambda(budget.lam, budget.y) * sigma2
+    _, y, _, lam, _ = _budget(n, delta)
+    return _snr_from_lambda(lam, y) * sigma2
 
 
 def p_suf(n: int, delta: float, sigma2: float = 1.0) -> float:
@@ -107,8 +106,8 @@ def p_suf(n: int, delta: float, sigma2: float = 1.0) -> float:
     sqrt(1 - (1 - H^2)^2) equal to delta, scaled by sigma2.
     """
     check_sigma2(sigma2)
-    budget = CovertBudget.from_delta(n, delta)
-    return _snr_from_lambda(budget.lam1, budget.y0) * sigma2
+    _, _, y0, _, lam1 = _budget(n, delta)
+    return _snr_from_lambda(lam1, y0) * sigma2
 
 
 def p_exact(n: int, delta: float, sigma2: float = 1.0) -> PowerInterval:
@@ -122,14 +121,14 @@ def p_exact(n: int, delta: float, sigma2: float = 1.0) -> PowerInterval:
     bracket, and a Newton step that would leave the bracket is replaced by
     bisection.  Iteration stops once the step or the bracket is below the
     fixed relative tolerance _REL_TOL = 1e-10.  Distances come from
-    tvd._tvd_value, the scalar kernel behind tvd_exact.
+    tvd._tvd_fg, the scalar kernel behind tvd_exact, and each Newton slope
+    reuses the g of the distance evaluation before it.
     """
     check_sigma2(sigma2)
-    budget = CovertBudget.from_delta(n, delta)
-    n = budget.n
+    n, y, y0, lam, lam1 = _budget(n, delta)
     # bracket in snr units (sigma2 = 1), scale the results at the end
-    suf = _snr_from_lambda(budget.lam1, budget.y0)
-    nec = _snr_from_lambda(budget.lam, budget.y)
+    suf = _snr_from_lambda(lam1, y0)
+    nec = _snr_from_lambda(lam, y)
     lo, hi = suf, nec
     f_lo = _tvd_value(n, lo) - delta
     f_hi = _tvd_value(n, hi) - delta
@@ -138,17 +137,22 @@ def p_exact(n: int, delta: float, sigma2: float = 1.0) -> PowerInterval:
             f"exact TVD not bracketed by [p_suf, p_nec] at n={n}, delta={delta}: "
             f"endpoints deviate by ({f_lo:+.3e}, {f_hi:+.3e})"
         )
-    log_norm = math.lgamma(0.5 * n)
+    a = 0.5 * n
+    # past MAX_A_LOG_A the slope's density has no reliable digit and a wrong
+    # slope would stop the iteration early, so p_exact bisects there
+    newton = a * math.log(a) <= MAX_A_LOG_A
+    log_norm = math.lgamma(a)
     theta = lo - f_lo * (hi - lo) / (f_hi - f_lo) if f_hi > f_lo else lo
     while True:
-        resid = _tvd_value(n, theta) - delta
+        f, g = _fg(n, theta)
+        resid = _tvd_fg(a, f, g) - delta
         if resid == 0.0:
             break
         if resid < 0.0:
             lo = theta
         else:
             hi = theta
-        slope = _tvd_slope(n, theta, log_norm)
+        slope = _tvd_slope(a, theta, g, log_norm) if newton else 0.0
         step = resid / slope if slope > 0.0 else math.inf
         if not lo < theta - step < hi:
             step = theta - 0.5 * (lo + hi)
@@ -158,13 +162,7 @@ def p_exact(n: int, delta: float, sigma2: float = 1.0) -> PowerInterval:
     return PowerInterval(p_suf=suf * sigma2, p_exact=theta * sigma2, p_nec=nec * sigma2)
 
 
-def _tvd_slope(n: int, theta: float, log_norm: float) -> float:
-    """dV/dtheta = p_a(g) g / (1 + theta) at a = n/2, p_a the Gamma(a) density
-    with log_norm = lgamma(a); 0.0 (no Newton step) past MAX_A_LOG_A, where
-    that density has no reliable digit, its exp can overflow, and a wrong
-    slope would stop the iteration early, so p_exact bisects there."""
-    a = 0.5 * n
-    if a * math.log(a) > MAX_A_LOG_A:
-        return 0.0
-    g = _fg(n, theta)[1]
+def _tvd_slope(a: float, theta: float, g: float, log_norm: float) -> float:
+    """dV/dtheta = p_a(g) g / (1 + theta) at a = n/2, g = _fg(n, theta)[1],
+    p_a the Gamma(a) density, log_norm = lgamma(a); a ln a <= MAX_A_LOG_A."""
     return math.exp(a * math.log(g) - g - log_norm) / (1.0 + theta)

@@ -18,7 +18,7 @@ from functools import cache
 import numpy as np
 
 from .errors import DomainError, RegimeError
-from .power import CovertBudget, eta_from_lambda
+from .power import _budget, eta_from_lambda
 from .special import chi2_cdf, q_inv
 from .types import check_blocklength
 
@@ -284,9 +284,9 @@ def covert_throughput_bounds(n: int, eps: float, delta: float) -> tuple[Throughp
     Returns (suf, nec) with suf.bits <= nec.bits.
     """
     n = _check_common(n, eps)
-    budget = CovertBudget.from_delta(n, delta)
-    eta_y = eta_from_lambda(budget.lam, budget.y)
-    eta_y0 = eta_from_lambda(budget.lam1, budget.y0)
+    _, y, y0, lam, lam1 = _budget(n, delta)
+    eta_y = eta_from_lambda(lam, y)
+    eta_y0 = eta_from_lambda(lam1, y0)
     qi = q_inv(eps)
     logn = 0.5 * math.log2(n)
 
@@ -296,6 +296,6 @@ def covert_throughput_bounds(n: int, eps: float, delta: float) -> tuple[Throughp
         one_minus = 4.0 * lam / ((1.0 + lam) * (1.0 + lam))
         return -math.sqrt(0.5 * n * LOG2E * LOG2E * one_minus) * qi
 
-    nec = _report(KIND_COVERT_NEC, eps, n * math.log2(eta_y), second_term(budget.lam1), logn)
-    suf = _report(KIND_COVERT_SUF, eps, n * math.log2(eta_y0), second_term(budget.lam), logn)
+    nec = _report(KIND_COVERT_NEC, eps, n * math.log2(eta_y), second_term(lam1), logn)
+    suf = _report(KIND_COVERT_SUF, eps, n * math.log2(eta_y0), second_term(lam), logn)
     return suf, nec

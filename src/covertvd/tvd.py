@@ -18,15 +18,16 @@ two tails apply.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import DomainError
 from .expansions import (
+    _check_order,
     _gamma_series_lower,
     _gamma_series_upper,
+    _phi_transition,
     _transition_sum,
-    coeffs_c,
-    phi_transition,
 )
 from .special import reg_lower_gamma, reg_upper_gamma
 from .types import (
@@ -82,17 +83,17 @@ def log_tail_weight(n: int, z: float) -> float:
     return half - z + half * math.log(z / half)
 
 
-def _tvd_value(n: int, theta: float) -> float:
-    """V = P(n/2, f) - P(n/2, g) clamped to [0, 1], for an (n, theta) the
-    caller has already validated as a ChannelPoint would.
+def _tvd_fg(half: float, f: float, g: float) -> float:
+    """V = P(half, f) - P(half, g) clamped to [0, 1]: the one exact-distance
+    kernel, at half = n/2 and the pair (f, g) = _fg(n, theta)."""
+    return min(1.0, max(0.0, reg_lower_gamma(half, f) - reg_lower_gamma(half, g)))
 
-    The one exact-distance kernel: tvd_exact wraps it in a TvdEvaluation,
-    and the solvers and sweeps that evaluate V many times call it directly.
-    """
+
+def _tvd_value(n: int, theta: float) -> float:
+    """_tvd_fg at an (n, theta) the caller has validated as a ChannelPoint
+    would; tvd_exact wraps it, and the sweeps call it directly."""
     f, g = _fg(n, theta)
-    half = 0.5 * n
-    value = reg_lower_gamma(half, f) - reg_lower_gamma(half, g)
-    return min(1.0, max(0.0, value))
+    return _tvd_fg(0.5 * n, f, g)
 
 
 def tvd_exact(point: ChannelPoint) -> TvdEvaluation:
@@ -116,50 +117,42 @@ def tvd_complement(point: ChannelPoint) -> float:
     return reg_upper_gamma(half, f) + reg_lower_gamma(half, g)
 
 
-def _series_transition(point: ChannelPoint, K: int) -> tuple[float, int]:
-    """Transition-regime approximation [Gamma(a+1,g) - Gamma(a+1,f)]/Gamma(a+1)
-    with a = n/2 - 1: one transition sum over the Phi differences at g and f."""
-    a = 0.5 * point.n - 1.0
-    f, g = _fg(point.n, point.theta)
-    phi_g = phi_transition(a, g, K).values
-    phi_f = phi_transition(a, f, K).values
-    return _transition_sum(a, [pg - pf for pg, pf in zip(phi_g, phi_f)]), K + 1
-
-
-def _series_linear(point: ChannelPoint, K: int) -> tuple[float, int]:
-    """Low-exponent approximation 1 - Gamma(a+1,f)/Gamma(a+1) - gamma(a+1,g)/Gamma(a+1)
-    from the upper expansion at f and the lower expansion at g, a = n/2 - 1."""
-    a = 0.5 * point.n - 1.0
-    f, g = _fg(point.n, point.theta)
-    cf = coeffs_c(a, K)
-    upper, terms_f = _gamma_series_upper(cf, f)
-    lower, terms_g = _gamma_series_lower(cf, g)
-    return 1.0 - upper - lower, max(terms_f, terms_g)
-
-
 def tvd_series(point: ChannelPoint, K: int = 20) -> TvdEvaluation:
     """Series approximation of the TVD with regime dispatch on tau_eff.
 
-    tau_eff >= 1/2 selects the transition expansion (method
-    "series-high-tau"); tau_eff < 1/2 selects the linear-argument tail
-    expansions (method "series-low-tau").  Values are clamped to [0, 1]
-    (the approximations can overshoot the metric's range in marginal
-    regimes); err_estimate is the absolute deviation from tvd_exact.
+    With a = n/2 - 1, tau_eff >= 1/2 selects the transition expansion
+    (method "series-high-tau"): one sum of all K + 1 terms over the
+    differences Phi_k(a, g) - Phi_k(a, f).  tau_eff < 1/2 selects the
+    linear-argument tail expansions (method "series-low-tau"):
+    1 - [upper series at f] - [lower series at g], each computed lazily,
+    pair of terms by pair, up to its optimal truncation; terms_used is the
+    larger count.  Values are clamped to [0, 1] (the approximations can
+    overshoot the metric's range in marginal regimes); err_estimate is the
+    absolute deviation from the exact kernel at the same (f, g).
     """
     if point.n < 100:
         raise DomainError(f"series approximations need n >= 100, got n={point.n}")
     if point.theta <= 0.0:
         raise DomainError("series approximations need theta > 0")
+    _check_order(K)
+    a = 0.5 * point.n - 1.0
+    f, g = _fg(point.n, point.theta)
     if point.tau_eff >= 0.5:
-        value, terms = _series_transition(point, K)
+        diffs = map(operator.sub, _phi_transition(a, g, K), _phi_transition(a, f, K))
+        value = _transition_sum(a, list(diffs))
+        terms = K + 1
         method = METHOD_SERIES_HIGH
     else:
-        value, terms = _series_linear(point, K)
+        lg = math.lgamma(a + 1.0)
+        upper, terms_f = _gamma_series_upper(a, f, K, lg)
+        lower, terms_g = _gamma_series_lower(a, g, K, lg)
+        value = 1.0 - upper - lower
+        terms = max(terms_f, terms_g)
         method = METHOD_SERIES_LOW
     value = min(1.0, max(0.0, value))
     return TvdEvaluation(
         value=value,
         method=method,
         terms_used=terms,
-        err_estimate=abs(value - _tvd_value(point.n, point.theta)),
+        err_estimate=abs(value - _tvd_fg(0.5 * point.n, f, g)),
     )

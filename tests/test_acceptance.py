@@ -27,17 +27,13 @@ import pytest
 from covertvd.asymptotics import default_n_grid, fit_rate, stationarity_check, sweep_tvd
 from covertvd.cli import FIGURES, main as cli_main
 from covertvd.divergences import tvd_bounds
-from covertvd.expansions import (
-    coeffs_c,
-    phi_linear,
-    phi_linear_closed_form,
-    stirling_gamma_halfn,
-)
+from covertvd.expansions import coeffs_c, phi_linear, stirling_gamma_halfn
 from covertvd.oracles import simulate_test, tvd_quadrature
 from covertvd.power import p_exact, p_nec, p_suf
 from covertvd.throughput import covert_throughput_bounds
 from covertvd.tvd import fg, log_tail_weight, tvd_exact, tvd_series
 from covertvd.types import ChannelPoint
+from test_expansions import phi_linear_closed_form
 
 GRID_N = (2, 10, 100, 500, 1000, 2000)
 GRID_TAU = (0.3, 0.5, 0.8)

@@ -1,7 +1,9 @@
 """Scaling-law sweeps, rate fits, and the stationarity check."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
 from covertvd.asymptotics import (
@@ -17,7 +19,7 @@ from covertvd.asymptotics import (
 )
 from covertvd.divergences import kl_divergences
 from covertvd.errors import DomainError, FitError
-from covertvd.tvd import tvd_exact
+from covertvd.tvd import tvd_complement, tvd_exact
 from covertvd.types import ChannelPoint
 
 
@@ -53,6 +55,53 @@ class TestSweep:
             sweep_tvd(0.5, (100, 10**400))
         with pytest.raises(DomainError, match="double range"):
             default_n_grid(1000, 10**400, 3)
+
+
+def fit_inputs(series):
+    """The (ln n, transformed v) pairs fit_rate regresses, rebuilt from the
+    series (complements re-evaluated in tail space where v saturates)."""
+    x = [math.log(n) for n, _ in series.points]
+    if series.tau > 0.5:
+        return x, [math.log(v) for _, v in series.points]
+    comp = [1.0 - v for _, v in series.points]
+    if min(comp) <= 0.0:
+        comp = [tvd_complement(ChannelPoint.from_tau(n, series.tau)) for n, _ in series.points]
+    return x, [math.log(-math.log(c)) for c in comp]
+
+
+class TestFitRateClosedForm:
+    """fit_rate's centred fsum OLS against numpy lstsq and a 50-digit
+    mpmath OLS on the same inputs, on seeded random grids."""
+
+    def test_agrees_with_lstsq_and_is_closer_to_exact(self):
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(23)
+        err_fit, err_lstsq, transforms = [], [], set()
+        for _ in range(200):
+            tau = rng.uniform(0.2, 0.47) if rng.random() < 0.5 else rng.uniform(0.53, 0.95)
+            grid = default_n_grid(rng.randint(100, 3000), rng.randint(20000, 10**6),
+                                  rng.randint(6, 30))
+            series = sweep_tvd(tau, grid)
+            fit = fit_rate(series)
+            transforms.add(fit.transform)
+            x, y = fit_inputs(series)
+            design = np.vstack([x, np.ones(len(x))]).T
+            lstsq = float(np.linalg.lstsq(design, np.array(y), rcond=None)[0][0])
+            assert abs(fit.exponent - lstsq) <= 1e-12 * max(1.0, abs(lstsq))
+            with mp.workdps(50):
+                xs, ys = [mp.mpf(v) for v in x], [mp.mpf(v) for v in y]
+                x_mean, y_mean = mp.fsum(xs) / len(xs), mp.fsum(ys) / len(ys)
+                exact = mp.fsum((u - x_mean) * (v - y_mean) for u, v in zip(xs, ys)) / mp.fsum(
+                    (u - x_mean) ** 2 for u in xs)
+                ulp = math.ulp(float(exact))
+                err_fit.append(float(abs(fit.exponent - exact)) / ulp)
+                err_lstsq.append(float(abs(lstsq - exact)) / ulp)
+        assert transforms == {TRANSFORM_LOG_LOG, TRANSFORM_LOG_NEG_LOG}
+        # within a few ulps of exact, so never behind lstsq by more than
+        # that, and in total far closer (lstsq errs by up to ~25 ulps here)
+        assert all(e <= max(el, 4.0) for e, el in zip(err_fit, err_lstsq))
+        assert sum(err_fit) <= sum(err_lstsq)
+        assert max(err_fit) <= max(err_lstsq)
 
 
 class TestFitRate:
@@ -116,6 +165,20 @@ class TestFitRate:
         ns = (100, 200, 300, 400, 500, 600)
         vals = (0.5, 0.4, 0.3, 0.2, 0.1, 0.0)
         with pytest.raises(FitError, match="underflows"):
+            fit_rate(ScalingSeries(tau=0.7, points=tuple(zip(ns, vals))))
+
+    def test_zero_distance_rejected_on_approach_to_one(self):
+        # 1 - v = 1 gives ln(-ln 1) = ln 0; that fit was NaN with r^2 = 1
+        ns = (100, 200, 300, 400, 500, 600)
+        vals = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
+        with pytest.raises(FitError, match="must be positive"):
+            fit_rate(ScalingSeries(tau=0.3, points=tuple(zip(ns, vals))))
+
+    def test_coincident_log_blocklengths_rejected(self):
+        # distinct integers past 2^53 with one ln n: no line through them
+        ns = tuple(10**17 + k for k in range(6))
+        vals = (0.5, 0.4, 0.3, 0.2, 0.1, 0.05)
+        with pytest.raises(FitError, match="differ in double precision"):
             fit_rate(ScalingSeries(tau=0.7, points=tuple(zip(ns, vals))))
 
     def test_stationary_exponent_rejected(self):

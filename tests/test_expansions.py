@@ -17,7 +17,6 @@ from covertvd.expansions import (
     gamma_series_transition,
     gamma_series_upper,
     phi_linear,
-    phi_linear_closed_form,
     phi_transition,
     stirling_gamma_halfn,
 )
@@ -48,6 +47,26 @@ def c_defining_sum(a: int, k: int) -> float:
             rising *= Fraction(-a + (j - 1))
         total += rising / math.factorial(j) * Fraction(a) ** (k - j) / math.factorial(k - j)
     return float(total)
+
+
+def phi_linear_closed_form(a: float, z: float, K: int) -> tuple[float, ...]:
+    """Closed-form Phi_k(z - a) = k!/(a-z)^(k+1) - e^(z-a) sum_j k!/((k-j)! (a-z)^(j+1)).
+
+    Literal evaluation of the displayed sum, the reference phi_linear's
+    recurrence is tested against.  Cancellation grows like k!/|z-a|^k, so
+    for small |z-a| and large k the result carries the corresponding loss
+    of relative precision.
+    """
+    amz = a - z
+    ew = math.exp(z - a)
+    out = []
+    fact = 1.0
+    for k in range(K + 1):
+        if k > 0:
+            fact *= k
+        inner = math.fsum(fact / (math.factorial(k - j) * amz ** (j + 1)) for j in range(k + 1))
+        out.append(fact / amz ** (k + 1) - ew * inner)
+    return tuple(out)
 
 
 def phi_decay_ratios(seq):
@@ -246,8 +265,7 @@ class TestGammaSeriesUpper:
         a = 499.0
         stops = []
         for mult in (2.0, 5.0, 8.0):
-            terms = _upper_terms(coeffs_c(a, 24), a + mult * math.sqrt(a))
-            stops.append(_sum_optimal(terms)[1])
+            stops.append(_sum_optimal(_upper_terms(a, a + mult * math.sqrt(a), 24))[1])
         assert all(b >= s for s, b in zip(stops, stops[1:]))
         assert stops[-1] > stops[0]
 
@@ -255,7 +273,7 @@ class TestGammaSeriesUpper:
         # f at n = 602559, tau = 0.001: d^(k+1) overflows at k = 60 only
         a, z = 301278.5, 416436.827728649
         cf = coeffs_c(a, 60)
-        terms = _upper_terms(cf, z)
+        terms = list(_upper_terms(a, z, 60))
         assert len(terms) == 61
         assert terms[:60] == [cs / (z - a) ** (k + 1) for k, cs in enumerate(cf.c_star[:60])]
         assert terms[60] == 0.0
@@ -358,6 +376,7 @@ def test_lower_terms_match_coefficient_phi_product():
     a, z = 499.0, 432.0
     cf = coeffs_c(a, 6)
     phi = phi_linear(a, z, 6)
-    terms = _lower_terms(cf, z)
+    terms = list(_lower_terms(a, z, 6))
+    assert len(terms) == 7
     for t, ck, pk in zip(terms, cf.c, phi.values):
         assert t == ck * pk

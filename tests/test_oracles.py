@@ -6,10 +6,10 @@ import statistics
 
 import numpy as np
 import pytest
-import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covertvd import oracles
 from covertvd.errors import AccuracyError, DomainError
 from covertvd.oracles import lrt_threshold, simulate_test, tvd_monte_carlo, tvd_quadrature
 from covertvd.special import reg_lower_gamma, reg_upper_gamma
@@ -191,8 +191,8 @@ class TestTvdQuadrature:
         assert ev.terms_used > 0
 
     def test_quad_warning_within_target_is_accepted(self, monkeypatch):
-        monkeypatch.setattr(scipy.integrate, "quad",
-                            lambda *args, **kwargs: (0.125, 1e-12, {"neval": 21}, "roundoff"))
+        monkeypatch.setattr(oracles, "_bare_quad", lambda: (
+            lambda *args, **kwargs: (0.125, 1e-12, {"neval": 21}, "roundoff")))
         ev = tvd_quadrature(ChannelPoint(n=500, theta=0.05))
         assert ev.value == 0.125
         assert ev.terms_used == 21
@@ -205,8 +205,8 @@ class TestTvdQuadrature:
 
     def test_quad_warning_reported_in_accuracy_error(self, monkeypatch):
         message = "The maximum number of subdivisions (300) has been achieved.\n  more advice"
-        monkeypatch.setattr(scipy.integrate, "quad",
-                            lambda *args, **kwargs: (0.125, 1e-6, {"neval": 21}, message))
+        monkeypatch.setattr(oracles, "_bare_quad", lambda: (
+            lambda *args, **kwargs: (0.125, 1e-6, {"neval": 21}, message)))
         with pytest.raises(AccuracyError, match=r"maximum number of subdivisions \(300\)"):
             tvd_quadrature(ChannelPoint(n=500, theta=0.05))
 

@@ -5,10 +5,12 @@ import math
 import pytest
 
 import covertvd.power
+import covertvd.tvd
 from covertvd.divergences import hellinger_sq, tvd_bounds
 from covertvd.errors import ConsistencyError, DomainError
 from covertvd.power import CovertBudget, _tvd_slope, p_exact, p_nec, p_suf
-from covertvd.tvd import _tvd_value, tvd_exact
+from covertvd.special import reg_lower_gamma
+from covertvd.tvd import _fg, _tvd_value, tvd_exact
 from covertvd.types import ChannelPoint
 
 
@@ -94,7 +96,53 @@ class TestClosedForms:
         assert p_nec(500, 0.1, sigma2=3.0) == pytest.approx(3.0 * p_nec(500, 0.1), rel=1e-14)
 
 
+#: (p_suf, p_exact, p_nec) as float.hex, recorded on CPython 3.11.7 with
+#: scipy 1.17.1 (x86-64 Linux); a change to the Newton loop that moves any
+#: iterate moves these bits.  n = 1e18 is past MAX_A_LOG_A, where p_exact
+#: bisects.
+P_EXACT_HEX = {
+    (500, 1e-06): ("0x1.0fa339bda9f98p-23", "0x1.548f8d5c06cc8p-23", "0x1.772f00bc6593cp-13"),
+    (500, 0.01): ("0x1.4bce950511465p-10", "0x1.a01073808de55p-10", "0x1.28799e56e5182p-6"),
+    (500, 0.1): ("0x1.a22cd602056b2p-7", "0x1.06980321b6492p-6", "0x1.e9c8cc9ce1f6fp-5"),
+    (500, 0.5): ("0x1.1f90779fd6829p-4", "0x1.6cf1e426cd1a0p-4", "0x1.490f5cd602264p-3"),
+    (2000, 1e-06): ("0x1.0fa3392d8c7bfp-24", "0x1.5479c176955d0p-24", "0x1.772ab51cf4583p-14"),
+    (2000, 0.01): ("0x1.4bb3b7d61490fp-11", "0x1.9fcb98712b39bp-11", "0x1.2724f59f773e9p-7"),
+    (2000, 0.1): ("0x1.a0d92f6d0908dp-8", "0x1.057be65996d56p-7", "0x1.e2a614879b773p-6"),
+    (2000, 0.5): ("0x1.1aaa8d0d613d4p-5", "0x1.650dd67c0a74bp-5", "0x1.3cb1b8e81b133p-4"),
+    (10**5, 1e-06): ("0x1.3352a5e91aadcp-27", "0x1.812c36c0621f2p-27", "0x1.a86fbf566cf59p-17"),
+    (10**5, 0.01): ("0x1.772d15b336e61p-14", "0x1.d6385e74ef979p-14", "0x1.4ca21a0b450b6p-10"),
+    (10**5, 0.1): ("0x1.d653b7b196e8cp-11", "0x1.26cd7cf5ab5e9p-10", "0x1.0da1b49dcaf79p-8"),
+    (10**5, 0.5): ("0x1.3b27954482259p-8", "0x1.8c900859db4dap-8", "0x1.5ae811e7b17d7p-7"),
+    (10**6, 1e-06): ("0x1.84bc6eb9e4327p-29", "0x1.e7355effeecdep-29", "0x1.0c6fa1a07d002p-18"),
+    (10**6, 0.01): ("0x1.da8cc6771e56dp-16", "0x1.2961ab1c8ea8cp-15", "0x1.a491aafcc8596p-12"),
+    (10**6, 0.1): ("0x1.295ea71bc9343p-12", "0x1.74c15dd451147p-12", "0x1.5494d2385b833p-10"),
+    (10**6, 0.5): ("0x1.8dfd1f0f480d7p-10", "0x1.f494d485e78a6p-10", "0x1.b539e2e11d0c5p-9"),
+    (10**18, 1e-06): ("0x1.979e8ae80281dp-49", "0x1.efffffffa9fc6p-49", "0x1.19799caf78aa6p-38"),
+    (10**18, 0.01): ("0x1.f19837d8b8be6p-36", "0x1.37d23ffff2a9cp-35", "0x1.b8e9002c80c15p-32"),
+    (10**18, 0.1): ("0x1.37c543a1d906bp-32", "0x1.86caf7ff83b88p-32", "0x1.64e4c389bc5b2p-30"),
+    (10**18, 0.5): ("0x1.a101458bf85ecp-30", "0x1.0632d0ffc70c4p-29", "0x1.c9b3a5247e22dp-29"),
+}
+
+#: the kernel and lgamma bits the table was recorded with; another scipy
+#: or libm build may round them differently, and the table then says
+#: nothing about the solver
+KERNEL_HEX = {
+    (250.0, 251.5): "0x1.17973bd9188ffp-1",
+    (5e5, 499300.0): "0x1.49efa68dc3767p-3",
+}
+LGAMMA_HEX = {250.0: "0x1.1a2185764485fp+10", 5e5: "0x1.71f1e02f92fe8p+22"}
+
+
 class TestPExact:
+    @pytest.mark.parametrize("n, delta", sorted(P_EXACT_HEX))
+    def test_recorded_bits(self, n, delta):
+        if any(reg_lower_gamma(a, z).hex() != h for (a, z), h in KERNEL_HEX.items()) or any(
+                math.lgamma(a).hex() != h for a, h in LGAMMA_HEX.items()):
+            pytest.skip("kernel or lgamma rounds differently from the recording build")
+        interval = p_exact(n, delta)
+        got = (interval.p_suf.hex(), interval.p_exact.hex(), interval.p_nec.hex())
+        assert got == P_EXACT_HEX[n, delta]
+
     def test_two_sample_quarter_budget(self):
         # tvd_exact(n=2, theta=1) = 1/4 exactly
         interval = p_exact(2, 0.25)
@@ -141,15 +189,17 @@ class TestPExact:
     @pytest.mark.parametrize("n", (500, 2000, 10**5, 10**6))
     @pytest.mark.parametrize("delta", (1e-3, 0.01, 0.1, 0.5))
     def test_newton_call_count_and_residual(self, monkeypatch, n, delta):
+        # every distance evaluation, at the bracket ends and in the Newton
+        # loop, is two P(n/2, .) calls of the kernel
         calls = []
 
-        def counting_tvd_value(n, theta):
-            calls.append(theta)
-            return _tvd_value(n, theta)
+        def counting_reg_lower_gamma(a, z):
+            calls.append(z)
+            return reg_lower_gamma(a, z)
 
-        monkeypatch.setattr(covertvd.power, "_tvd_value", counting_tvd_value)
+        monkeypatch.setattr(covertvd.tvd, "reg_lower_gamma", counting_reg_lower_gamma)
         interval = p_exact(n, delta)
-        assert len(calls) <= 10
+        assert len(calls) <= 2 * 10
         assert interval.p_suf <= interval.p_exact <= interval.p_nec
         achieved = tvd_exact(ChannelPoint(n=n, theta=interval.p_exact)).value
         assert abs(achieved - delta) <= 1e-8 * delta
@@ -170,6 +220,11 @@ class TestPExact:
         assert interval.p_nec == p_nec(n, 0.1, sigma2=2.5)
 
 
+def slope_at(n, theta):
+    """_tvd_slope at (n, theta), with g and lgamma(n/2) as p_exact passes them."""
+    return _tvd_slope(0.5 * n, theta, _fg(n, theta)[1], math.lgamma(0.5 * n))
+
+
 class TestTvdSlope:
     """The Newton slope p_a(g) g / (1 + theta), a = n/2, against 60-digit
     mpmath at the same double-precision snr, and against a central
@@ -188,7 +243,7 @@ class TestTvdSlope:
     @pytest.mark.parametrize("theta", (1e-20, 1e-16, 1e-12, 1e-8, 1e-4, 1e-2))
     def test_against_mpmath(self, n, theta):
         ref = self.reference(n, theta)
-        slope = _tvd_slope(n, theta, math.lgamma(0.5 * n))
+        slope = slope_at(n, theta)
         assert abs(slope - ref) <= (1e-12 if n <= 10**3 else 1e-8) * ref
 
     @pytest.mark.parametrize("n, theta", ((1, 1e-4), (2, 1.0), (10, 0.3), (10**3, 0.05),
@@ -196,4 +251,4 @@ class TestTvdSlope:
     def test_central_difference_of_kernel(self, n, theta):
         h = 1e-4 * theta
         diff = (_tvd_value(n, theta + h) - _tvd_value(n, theta - h)) / (2.0 * h)
-        assert _tvd_slope(n, theta, math.lgamma(0.5 * n)) == pytest.approx(diff, rel=1e-6)
+        assert slope_at(n, theta) == pytest.approx(diff, rel=1e-6)

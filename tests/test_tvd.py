@@ -1,15 +1,26 @@
 """Exact TVD, the argument pair (f, g), and the series approximations."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import covertvd.expansions
 import covertvd.tvd
 from covertvd.errors import AccuracyError, DomainError
-from covertvd.expansions import coeffs_c
+from covertvd.expansions import (
+    _lower_terms,
+    _sum_optimal,
+    _transition_sum,
+    _upper_terms,
+    gamma_series_lower,
+    gamma_series_transition,
+    gamma_series_upper,
+    phi_transition,
+)
 from covertvd.tvd import (
     _BASELINE_PRECISION,
     fg,
@@ -129,7 +140,54 @@ class TestTvdExact:
         assert 0.0 < tvd_complement(point) < 1e-20
 
 
+def series_from_public_pieces(point, K):
+    """tvd_series rebuilt from the public expansions: the transition sum over
+    the phi_transition differences at tau_eff >= 1/2, else
+    1 - gamma_series_upper(f) - gamma_series_lower(g), with the optimal
+    truncation's term counts."""
+    a = 0.5 * point.n - 1.0
+    pair = fg(point)
+    if point.tau_eff >= 0.5:
+        phi_g = phi_transition(a, pair.g, K).values
+        phi_f = phi_transition(a, pair.f, K).values
+        value = _transition_sum(a, [pg - pf for pg, pf in zip(phi_g, phi_f)])
+        method, terms = METHOD_SERIES_HIGH, K + 1
+    else:
+        value = 1.0 - gamma_series_upper(a, pair.f, K) - gamma_series_lower(a, pair.g, K)
+        method = METHOD_SERIES_LOW
+        terms = max(_sum_optimal(_upper_terms(a, pair.f, K))[1],
+                    _sum_optimal(_lower_terms(a, pair.g, K))[1])
+    value = min(1.0, max(0.0, value))
+    return value, method, terms, abs(value - tvd_exact(point).value)
+
+
 class TestTvdSeries:
+    def test_matches_public_pieces(self):
+        # == on every field, 2100 seeded points on both branches: the lazy
+        # pair sums, the shared lgamma and the shared (f, g) change no bit
+        rng = random.Random(11)
+        orders = (0, 1, 2, 3, 20, 40, 60)
+        branches = set()
+        for i in range(2100):
+            n = round(10.0 ** rng.uniform(2.0, 6.0))
+            point = ChannelPoint.from_tau(n, rng.uniform(0.05, 0.98))
+            K = orders[i % len(orders)]
+            ev = tvd_series(point, K=K)
+            value, method, terms, err = series_from_public_pieces(point, K)
+            assert (ev.value, ev.method, ev.terms_used, ev.err_estimate) == (
+                value, method, terms, err), (n, point.theta, K)
+            branches.add(method)
+        assert branches == {METHOD_SERIES_HIGH, METHOD_SERIES_LOW}
+
+    def test_transition_branch_is_the_public_transition_series_difference(self):
+        # the transition sum is linear in Phi: its value at the Phi
+        # differences is the difference of the two upper-tail values
+        point = ChannelPoint.from_tau(4000, 0.7)
+        a = 0.5 * point.n - 1.0
+        pair = fg(point)
+        expected = gamma_series_transition(a, pair.g) - gamma_series_transition(a, pair.f)
+        assert tvd_series(point).value == pytest.approx(expected, rel=1e-12)
+
     def test_high_branch_accuracy(self):
         point = ChannelPoint.from_tau(1000, 0.6)
         ev = tvd_series(point, K=20)
@@ -147,17 +205,24 @@ class TestTvdSeries:
         assert ev.method == METHOD_SERIES_LOW
         assert ev.err_estimate <= 1e-2
 
-    def test_low_branch_builds_coefficients_once(self, monkeypatch):
-        calls = []
+    def test_low_branch_draws_terms_lazily(self, monkeypatch):
+        # each series draws its coefficients only up to the pair of terms
+        # that stops its optimal truncation, not all K + 1 of them
+        drawn = []
 
-        def counting_coeffs(a, K):
-            calls.append((a, K))
-            return coeffs_c(a, K)
+        def counting(recurrence):
+            def draw(a, K):
+                for c in recurrence(a, K):
+                    drawn.append(c)
+                    yield c
+            return draw
 
-        monkeypatch.setattr(covertvd.tvd, "coeffs_c", counting_coeffs)
+        monkeypatch.setattr(covertvd.expansions, "_c", counting(covertvd.expansions._c))
+        monkeypatch.setattr(covertvd.expansions, "_c_star", counting(covertvd.expansions._c_star))
         ev = tvd_series(ChannelPoint.from_tau(5000, 0.3), K=20)
         assert ev.method == METHOD_SERIES_LOW
-        assert calls == [(2499.0, 20)]
+        assert ev.terms_used < 21
+        assert 0 < len(drawn) <= 2 * (ev.terms_used + 2) < 2 * 21
 
     def test_err_estimate_is_deviation_from_exact(self):
         point = ChannelPoint.from_tau(2000, 0.7)
