@@ -13,9 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
-
-import numpy as np
 
 from .errors import DomainError, RegimeError
 from .power import _budget, eta_from_lambda
@@ -93,45 +90,97 @@ def dispersion(P: float) -> float:
     return 0.5 * LOG2E * LOG2E * P * (P + 2.0) / ((1.0 + P) * (1.0 + P))
 
 
-@cache
-def _hermgauss() -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.hermite.hermgauss(127)
+def _check_radius(R: float) -> None:
+    if R < 0.0:
+        raise DomainError(f"rate-shell radius must be nonnegative, got {R!r}")
+
+
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+#: E|Z|^3 for standard normal Z
+_ABS_MOMENT3 = 2.0 * math.sqrt(2.0 / math.pi)
+
+
+def _t_mu(P: float, R: float, mu: float) -> float:
+    """t_mu for a (P, R, mu) the caller has validated."""
+    # c = log2(e)/(2(1 + mu P)), halved first so 2(1 + mu P) cannot overflow;
+    # q(z) = C + B z - C z^2 carries the scale c, so neither coefficient
+    # overflows at huge P
+    c = 0.5 * LOG2E / (1.0 + mu * P)
+    C = c * (mu * P)
+    B = c * (2.0 * math.sqrt(R))
+    if C == 0.0:
+        return B * B * B * _ABS_MOMENT3
+    # q > 0 between its roots z1 = -1/z2 < 0 < z2
+    z2 = (B + math.hypot(B, 2.0 * C)) / (2.0 * C)
+    z1 = -1.0 / z2
+    p1 = math.exp(-0.5 * z1 * z1) * _INV_SQRT_2PI
+    p2 = math.exp(-0.5 * z2 * z2) * _INV_SQRT_2PI
+    # truncated moments m_k = E[Z^k; z1 < Z < z2] by parts:
+    # m_(k+1) = k m_(k-1) + z1^k phi(z1) - z2^k phi(z2), the powers by
+    # running products; past z2 ~ 38.6 phi(z2) underflows to 0, and so does
+    # every z2 term (z2^k itself may overflow there)
+    m = [0.5 * (math.erf(z2 / _SQRT2) + math.erf(-z1 / _SQRT2)), p1 - p2]
+    e1, e2 = p1, p2
+    for k in range(1, 6):
+        e1 *= z1
+        e2 = e2 * z2 if e2 else 0.0
+        m.append(k * m[k - 1] + e1 - e2)
+    m0, m1, m2, m3, m4, m5, m6 = m
+    inner = (C * C * C * (m0 - 3.0 * m2 + 3.0 * m4 - m6)
+             + 3.0 * C * C * B * (m1 - 2.0 * m3 + m5)
+             + 3.0 * C * B * B * (m2 - m4)
+             + B * B * B * m3)
+    # E|q|^3 = 2 E[q^3; z1 < Z < z2] - E[q^3], E[q^3] = -8 C^3 - 6 B^2 C
+    return 2.0 * inner + C * (8.0 * C * C + 6.0 * B * B)
 
 
 def t_mu(P: float, R: float, mu: float) -> float:
-    """Third absolute moment E|log2(e)/(2(1+mu P)) [mu P + 2 sqrt(R) Z - mu P Z^2]|^3
-    over standard normal Z, by Gauss-Hermite quadrature.
+    """Third absolute moment E|c q(Z)|^3 over standard normal Z, with
+    c = log2(e)/(2(1 + mu P)) and q(z) = mu P + 2 sqrt(R) z - mu P z^2.
 
-    The rule is fixed at 127 nodes: the integrand is a C^2 kink of a
-    degree-6 polynomial envelope, measured quadrature error ~5e-8 at
-    covert power scales.
+    Closed form: with C = mu P and B = 2 sqrt(R), q > 0 exactly between its
+    roots z1 = -1/z2 and z2 = (B + sqrt(B^2 + 4 C^2))/(2C), so
+    E|q|^3 = 2 E[q^3; z1 < Z < z2] + 8 C^3 + 6 B^2 C, where the first term
+    is q^3's coefficients against the truncated normal moments m_0..m_6
+    over (z1, z2); C = 0 gives the linear limit B^3 E|Z|^3 = B^3 2 sqrt(2/pi).
+    Relative error against 40-digit mpmath quadrature split at z1, 0 and
+    z2: at most 9.3e-16 at 363 points over P in [1e-14, 1e6],
+    mu in [0.05, 0.99], R in [mu^2 P, P] (seeded and corner points).
     """
     _check_power(P)
     _check_mu(mu)
-    if R < 0.0:
-        raise DomainError(f"rate-shell radius must be nonnegative, got {R!r}")
-    x, w = _hermgauss()
-    z = math.sqrt(2.0) * x
-    c = LOG2E / (2.0 * (1.0 + mu * P))
-    vals = np.abs(c * (mu * P + 2.0 * math.sqrt(R) * z - mu * P * z * z)) ** 3
-    return float(np.sum(w * vals) / math.sqrt(math.pi))
+    _check_radius(R)
+    return _t_mu(P, R, mu)
+
+
+def _v_hat(P: float, R: float) -> float:
+    c = LOG2E / (2.0 * (1.0 + P))
+    return c * c * (4.0 * R + 2.0 * P * P)
 
 
 def v_hat_mu(P: float, R: float) -> float:
     """Shell dispersion (log2 e / (2(1+P)))^2 (4R + 2P^2)
     = dispersion(P) * (2R + P^2)/(2P + P^2)."""
     _check_power(P)
-    c = LOG2E / (2.0 * (1.0 + P))
-    return c * c * (4.0 * R + 2.0 * P * P)
+    return _v_hat(P, R)
+
+
+def _b_mu(P: float, R: float, mu: float, v: float) -> float:
+    """b_mu for a validated (P, R, mu), given v = v_hat_mu(P, R)."""
+    # v^(3/2) underflows to 0 while v is still positive, below v ~ 1e-215
+    v32 = v ** 1.5
+    if v32 == 0.0:
+        raise DomainError("Berry-Esseen ratio undefined at zero dispersion")
+    return 6.0 * _t_mu(P, R, mu) / v32
 
 
 def b_mu(P: float, R: float, mu: float) -> float:
     """Berry-Esseen ratio 6 T_mu(P, R) / v_hat_mu(P, R)^(3/2)."""
-    # v^(3/2) underflows to 0 while v is still positive, below v ~ 1e-215
-    v32 = v_hat_mu(P, R) ** 1.5
-    if v32 == 0.0:
-        raise DomainError("Berry-Esseen ratio undefined at zero dispersion")
-    return 6.0 * t_mu(P, R, mu) / v32
+    _check_power(P)
+    _check_mu(mu)
+    _check_radius(R)
+    return _b_mu(P, R, mu, _v_hat(P, R))
 
 
 def be_margin(n: int, P: float, mu: float) -> float:
@@ -184,11 +233,13 @@ def achievability_na(
     _check_mu(mu)
     if not (math.isfinite(tau0) and 0.0 < tau0 < eps):
         raise DomainError(f"tau0 must lie in (0, eps), got {tau0!r}")
-    if enforce_be_guard and be_margin(n, P, mu) >= eps:
-        raise RegimeError(
-            f"Berry-Esseen margin {be_margin(n, P, mu):.3g} >= eps={eps}; "
-            "normal approximation not certified at this blocklength"
-        )
+    if enforce_be_guard:
+        margin = be_margin(n, P, mu)
+        if margin >= eps:
+            raise RegimeError(
+                f"Berry-Esseen margin {margin:.3g} >= eps={eps}; "
+                "normal approximation not certified at this blocklength"
+            )
     delta_mass = truncation_mass(n, mu)
     if delta_mass <= 0.0:
         raise DomainError(f"codeword shell has vanishing mass at n={n}, mu={mu}")
@@ -202,21 +253,22 @@ def _full_core(
     n: int, eps: float, P: float, mu: float, R: float, delta_mass: float
 ) -> tuple[float, float, float]:
     """tau0-independent part of the full achievability bound at shell rate R,
-    given the shell mass delta_mass = truncation_mass(n, mu).
+    given the shell mass delta_mass = truncation_mass(n, mu), for a (P, mu)
+    achievability_full has validated and R in [mu^2 P, P].
 
     Returns (first, second, rest) where first is the capacity-scale term
     n C_mu + n (R - mu P) log2(e) / (2 (1 + mu P)), second the signed
     dispersion term sqrt(n v_hat) Q^{-1}(1 - eps + 2B/sqrt(n)), and rest
     the log-n residual, shell mass and remainder correction.
     """
-    B = b_mu(P, R, mu)
+    v = _v_hat(P, R)
+    B = _b_mu(P, R, mu, v)
     arg = 1.0 - eps + 2.0 * B / math.sqrt(n)
     if arg >= 1.0:
         raise RegimeError(
             f"Q^{{-1}} argument {arg:.6f} >= 1 (Berry-Esseen margin exceeds eps); "
             f"the full achievability bound is vacuous at n={n}, eps={eps}"
         )
-    v = v_hat_mu(P, R)
     first = n * capacity(mu * P) + n * (R - mu * P) * LOG2E / (2.0 * (1.0 + mu * P))
     second = math.sqrt(n * v) * q_inv(arg)
     remainder = math.log2(2.0 * math.log(2.0) / math.sqrt(2.0 * math.pi * v) + 4.0 * B)

@@ -21,7 +21,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import AccuracyError, DomainError
 from .expansions import (
     _check_order,
     _gamma_series_lower,
@@ -143,6 +143,13 @@ def tvd_series(point: ChannelPoint, K: int = 20) -> TvdEvaluation:
         terms = K + 1
         method = METHOD_SERIES_HIGH
     else:
+        if not g < a < f:
+            # exact g < a < f holds at every n >= 100 with tau_eff < 1/2, each
+            # gap above sqrt(n)/4 - 1; past n ~ 1e31 a gap can round to 0
+            raise AccuracyError(
+                f"linear-regime series need g < a < f, but the arguments round to "
+                f"g={g}, f={f} at a={a}: their gap to a is below its ulp"
+            )
         lg = math.lgamma(a + 1.0)
         upper, terms_f = _gamma_series_upper(a, f, K, lg)
         lower, terms_g = _gamma_series_lower(a, g, K, lg)

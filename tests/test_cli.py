@@ -143,6 +143,14 @@ class TestHugeBlocklengthDensity:
         assert code == EXIT_ACCURACY, err
         assert "no reliable digit" in err
 
+    @pytest.mark.parametrize("n", (10**200, 10**300))
+    def test_series_gap_below_ulp_exits_accuracy(self, capsys, n):
+        # f - a and a - g are below the ulp of a = n/2 - 1, so f, g and a
+        # all round to n/2: an accuracy limit, not a regime violation
+        code, _, err = run_cli(capsys, "tvd", "--n", str(n), "--tau", "0.3", "--method", "series")
+        assert code == EXIT_ACCURACY, err
+        assert "below its ulp" in err
+
     def test_series_prefactors_below_double_range(self, capsys):
         # both series prefactors are exp(-O(1e12)) = 0.0, however their logs round
         code, out, err = run_cli(capsys, "tvd", "--n", str(10**14), "--tau", "0.01",

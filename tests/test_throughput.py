@@ -1,7 +1,9 @@
 """Throughput approximations: converse, shell achievability, covert bounds."""
 
 import math
+import random
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import chi2, norm
@@ -26,6 +28,18 @@ from covertvd.throughput import (
     truncation_mass,
     v_hat_mu,
 )
+
+
+def mp_t_mu(P, R, mu):
+    """t_mu by 30-digit mpmath quadrature of |c q(z)|^3 phi(z), split at the
+    roots z1 = -1/z2, z2 of q and at 0."""
+    with mpmath.workdps(30):
+        P, R, mu = mpmath.mpf(P), mpmath.mpf(R), mpmath.mpf(mu)
+        c = 1 / (2 * mpmath.log(2) * (1 + mu * P))
+        C, B = mu * P, 2 * mpmath.sqrt(R)
+        z2 = (B + mpmath.sqrt(B * B + 4 * C * C)) / (2 * C)
+        return +mpmath.quad(lambda z: abs(c * (C + B * z - C * z * z)) ** 3 * mpmath.npdf(z),
+                            [-mpmath.inf, -1 / z2, 0, z2, mpmath.inf])
 
 
 class TestConverseNa:
@@ -104,7 +118,7 @@ class TestMomentMachinery:
         assert mid == pytest.approx(0.5 * (lo + hi), rel=1e-14)
 
     def test_quadrature_matches_monte_carlo(self):
-        # 1e7-sample seeded check; quadrature error is far below 3 se
+        # 1e7-sample seeded check of the closed form against sampling
         P, mu = 0.0224, 0.8
         R = mu * P
         rng = np.random.default_rng(20260808)
@@ -114,6 +128,63 @@ class TestMomentMachinery:
         mc = float(samples.mean())
         se = float(samples.std(ddof=1) / math.sqrt(samples.size))
         assert abs(t_mu(P, R, mu) - mc) <= 3.0 * se
+
+    def test_closed_form_matches_mpmath_quadrature(self):
+        # seeded points over P in [1e-12, 1e3], mu in (0.05, 0.99) and
+        # R in [mu^2 P, P], plus the corners of that domain
+        rng = random.Random(20261018)
+        cases = [(P, R, mu) for P in (1e-12, 1e3) for mu in (0.05, 0.99)
+                 for R in (mu * mu * P, P)]
+        for _ in range(8):
+            P = math.exp(rng.uniform(math.log(1e-12), math.log(1e3)))
+            mu = rng.uniform(0.05, 0.99)
+            cases.append((P, rng.uniform(mu * mu * P, P), mu))
+        for P, R, mu in cases:
+            ref = mp_t_mu(P, R, mu)
+            assert abs((t_mu(P, R, mu) - ref) / ref) <= 1e-13, (P, R, mu)
+
+    @pytest.mark.parametrize("mu", (0.05, 0.5, 0.99))
+    def test_linear_limit(self, mu):
+        # at C = mu P = 0, q = 2 sqrt(R) z and E|Z|^3 = 2 sqrt(2/pi)
+        R = 0.3
+        c = math.log2(math.e) / 2.0
+        limit = (c * 2.0 * math.sqrt(R)) ** 3 * 2.0 * math.sqrt(2.0 / math.pi)
+        assert t_mu(0.0, R, mu) == pytest.approx(limit, rel=1e-15, abs=0.0)
+        assert t_mu(0.0, 0.0, mu) == 0.0
+        # the two-root form tends to the limit as the power vanishes
+        P = 1e-40
+        c = math.log2(math.e) / (2.0 * (1.0 + mu * P))
+        limit = (c * 2.0 * math.sqrt(mu * P)) ** 3 * 2.0 * math.sqrt(2.0 / math.pi)
+        assert t_mu(P, mu * P, mu) == pytest.approx(limit, rel=1e-15, abs=0.0)
+
+    def test_tiny_power_stays_finite(self):
+        # phi(z2) underflows to 0 here and z2^k would overflow; the value
+        # recorded from the former 127-node Gauss-Hermite rule agrees to
+        # within that rule's 2.5e-5 error
+        assert t_mu(1e-150, 5e-151, 0.5) == pytest.approx(1.6941806862345462e-225, rel=3e-5, abs=0.0)
+        # and the linear limit, since mu P / sqrt(R) ~ 1e-75, to rounding
+        linear = (math.log2(math.e) * math.sqrt(5e-151)) ** 3 * 2.0 * math.sqrt(2.0 / math.pi)
+        assert t_mu(1e-150, 5e-151, 0.5) == pytest.approx(linear, rel=1e-15, abs=0.0)
+        assert t_mu(1e-300, 5e-301, 0.5) == 0.0
+        assert t_mu(1e-300, 1e-300, 0.5) == 0.0
+
+    def test_huge_power_stays_finite(self):
+        # the scale log2(e)/(2(1 + mu P)) is folded into the coefficients
+        assert t_mu(1.7e308, 1.7e308, 0.99) == pytest.approx(t_mu(1e100, 1e100, 0.5), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("call", (
+        lambda: t_mu(-1.0, 0.1, 0.5),
+        lambda: t_mu(0.1, -0.1, 0.5),
+        lambda: t_mu(0.1, 0.05, 1.0),
+        lambda: b_mu(math.inf, 0.1, 0.5),
+        lambda: b_mu(0.1, -0.1, 0.5),
+        lambda: b_mu(0.1, 0.05, 0.0),
+        lambda: v_hat_mu(math.nan, 0.1),
+        lambda: be_margin(1000, 0.1, 1.5),
+    ))
+    def test_public_domain_checks(self, call):
+        with pytest.raises(DomainError):
+            call()
 
     def test_berry_esseen_ratio_scale(self):
         # B is O(1) in the power, so the margin needs huge n at small eps
@@ -156,6 +227,18 @@ class TestAchievabilityNa:
         with pytest.raises(RegimeError):
             achievability_na(2000, 1e-3, 0.0224, 0.8, 1e-4, enforce_be_guard=True)
 
+    def test_be_guard_evaluates_margin_once(self, monkeypatch):
+        calls = []
+
+        def counting_margin(n, P, mu):
+            calls.append((n, P, mu))
+            return be_margin(n, P, mu)
+
+        monkeypatch.setattr(covertvd.throughput, "be_margin", counting_margin)
+        with pytest.raises(RegimeError, match="Berry-Esseen margin"):
+            achievability_na(2000, 1e-3, 0.0224, 0.8, 1e-4, enforce_be_guard=True)
+        assert calls == [(2000, 0.0224, 0.8)]
+
     def test_tau0_domain(self):
         with pytest.raises(DomainError):
             achievability_na(2000, 1e-3, 0.0224, 0.8, 2e-3)
@@ -180,6 +263,35 @@ class TestAchievabilityFull:
     def test_zero_power_rejected(self):
         with pytest.raises(DomainError):
             achievability_full(2000, 0.1, 0.0, 0.8)
+
+    @pytest.mark.parametrize("case, bits", [
+        ((100000, 0.2, 0.01, 0.9), "0x1.4e6769e0ca8a5p+9"),
+        ((200000, 0.2, 0.05, 0.9), "0x1.af40617ce9194p+12"),
+        ((50000, 0.1, 0.0224, 0.8), "0x1.59b48128a878dp+9"),
+    ])
+    def test_bits_match_search_on_mpmath_moment(self, case, bits):
+        # recorded from the same golden-section search with _t_mu replaced
+        # by float(mp_t_mu(P, R, mu)) (about 4 s a case, so not rerun here)
+        assert achievability_full(*case).bits == pytest.approx(float.fromhex(bits), rel=1e-12)
+
+    @pytest.mark.parametrize("case, calls", [
+        ((100000, 0.2, 0.01, 0.9), 57),
+        ((50000, 0.1, 0.0224, 0.8), 59),
+    ])
+    def test_search_iterates_and_checks(self, monkeypatch, case, calls):
+        # one moment per golden-section objective call plus the final point,
+        # as with the former quadrature; (P, mu) are checked once per call
+        counts = {"_t_mu": 0, "_check_power": 0}
+        for name in counts:
+            original = getattr(covertvd.throughput, name)
+
+            def counting(*args, name=name, original=original):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(covertvd.throughput, name, counting)
+        achievability_full(*case)
+        assert counts == {"_t_mu": calls, "_check_power": 1}
 
     def test_shell_mass_computed_once(self, monkeypatch):
         calls = []
