@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .special import reg_lower_gamma
+from .special import _phi, reg_lower_gamma
 from .tvd import _fg
 from .types import ChannelPoint
 
@@ -44,13 +44,7 @@ class BoundsReport:
 
 
 def _kl_fwd_nats(n: int, theta: float) -> float:
-    # theta - ln(1+theta); series below 1e-4 avoids cancellation
-    if theta < 1e-4:
-        t = theta
-        core = t * t * (0.5 - t * (1.0 / 3.0 - t * (0.25 - 0.2 * t)))
-    else:
-        core = theta - math.log1p(theta)
-    return 0.5 * n * core
+    return 0.5 * n * _phi(theta)
 
 
 def _kl_rev_nats(n: int, theta: float) -> float:

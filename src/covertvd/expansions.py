@@ -8,7 +8,7 @@ phi_transition          : Phi_k(a, z) sequence for the transition regime
 gamma_series_lower      : regularized gamma(a+1, z) / Gamma(a+1), z below a
 gamma_series_upper      : regularized Gamma(a+1, z) / Gamma(a+1), z above a
 gamma_series_transition : regularized Gamma(a+1, z) / Gamma(a+1), z near a
-stirling_gamma_halfn    : large-n asymptotic of ln Gamma(n/2)
+stirling_gamma_halfn    : the paper's ln Gamma(n/2) asymptotic, for comparison
 
 The three series target different argument regimes of the shape a:
 
@@ -22,13 +22,9 @@ The three series target different argument regimes of the shape a:
   an optimal index at practical arguments;
 * transition (|z - a| <= a^(2/3)): erfc-based expansion around z ~ a.
 
-All prefactors e^(-z) z^(a+1) / Gamma(a+1) are evaluated as exp(log-sum)
-so blocklengths n >= 1e3 neither overflow nor underflow.  The log-sum's
-terms grow like a ln a; past a ln a = MAX_A_LOG_A (a ~ 1.5e13, n ~ 3e13)
-their rounding alone moves the exponent by more than 0.1, the prefactor
-has no reliable digit, and AccuracyError is raised instead of a value,
-except where the exponent lies so far below the double range that its
-rounding cannot lift it back: there the prefactor is 0.0 either way.
+Every prefactor e^(-z) z^(a+1) / Gamma(a+1) is exp of the scaled Gamma(a+1)
+log density special._gamma_log_density, which has no term of size a ln a,
+so it keeps its digits at every shape, huge blocklengths included.
 
 Each recurrence lives in one private generator (_c, _c_star, _phi_linear):
 coeffs_c and phi_linear collect it, and the linear-regime series draw from
@@ -42,25 +38,16 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .errors import AccuracyError, DomainError, OrderError, RegimeError
-from .special import erfc
+from .errors import DomainError, OrderError, RegimeError
+from .special import _gamma_log_density, _gamma_log_norm, erfc
 from .types import check_int
 
 #: Largest supported truncation order; k! c_k growth stays inside double
 #: range with headroom below this.
 MAX_ORDER = 60
-
-#: Past this a*ln(a) (a ~ 1.5e13, n = 2a ~ 3e13) the terms of a Gamma(a) log
-#: density or of the series' log prefactor, each ~a*ln(a), round to more than
-#: 0.1 in the exponent, so its exp has no reliable digit.
-MAX_A_LOG_A = 0.1 / sys.float_info.epsilon
-
-# log of the smallest subnormal double; exp of anything below it is 0.0
-_LOG_TINIEST = math.log(math.ulp(0.0))
 
 
 @dataclass(frozen=True)
@@ -173,7 +160,8 @@ def _phi_transition(a: float, z: float, K: int) -> list[float]:
     if K >= 1:
         values.append(gauss / a)
     for k in range(2, K + 1):
-        values.append(((k - 1) * values[k - 2] + (d / a) ** (k - 1) * gauss) / a)
+        gauss *= d / a  # now ((z-a)/a)^(k-1) e^(-(z-a)^2/2a)
+        values.append(((k - 1) * values[k - 2] + gauss) / a)
     return values
 
 
@@ -191,26 +179,9 @@ def phi_transition(a: float, z: float, K: int) -> PhiSequence:
     return PhiSequence(values=tuple(_phi_transition(a, z, K)), a=a, z=z)
 
 
-def _prefactor(a: float, z: float, lg: float) -> float:
-    """e^(-z) z^(a+1) / Gamma(a+1), as the exp of its log; lg = lgamma(a + 1).
-
-    Up to a ln a = MAX_A_LOG_A the exp does not overflow: the true value is
-    below sqrt(a + 1) < 4e6, and the log's rounding is far below the ~700
-    an overflow would need.  Past it the log has no reliable digit, and
-    AccuracyError is raised unless the log plus a bound on its rounding
-    (8 ulps of the sum of its terms' magnitudes) is still below the log of
-    the smallest subnormal, where the value is 0.0.
-    """
-    log_z = math.log(z)
-    log_pre = -z + (a + 1.0) * log_z - lg
-    if a * math.log(a) > MAX_A_LOG_A:
-        slack = 8.0 * sys.float_info.epsilon * (z + (a + 1.0) * abs(log_z) + lg)
-        if log_pre + slack >= _LOG_TINIEST:
-            raise AccuracyError(
-                "series prefactor e^(-z) z^(a+1)/Gamma(a+1) has no reliable digit "
-                f"at a={a}, z={z}"
-            )
-    return math.exp(log_pre)
+def _prefactor(a: float, z: float) -> float:
+    """e^(-z) z^(a+1) / Gamma(a+1), the Gamma(a+1) density at z times z."""
+    return math.exp(_gamma_log_density(a + 1.0, z, _gamma_log_norm(a + 1.0)))
 
 
 def _sum_optimal(terms: Iterator[float]) -> tuple[float, int]:
@@ -255,28 +226,28 @@ def _lower_terms(a: float, z: float, K: int) -> Iterator[float]:
     return map(operator.mul, _c(a, K), _phi_linear(z - a, K))
 
 
-def _gamma_series_lower(a: float, z: float, K: int, lg: float) -> tuple[float, int]:
-    """(value, terms used) of the lower series at z < a, lg = lgamma(a + 1),
-    for a shape, order and finite z > 0 the caller has validated."""
+def _gamma_series_lower(a: float, z: float, K: int) -> tuple[float, int]:
+    """(value, terms used) of the lower series at z < a, for a shape, order
+    and finite z > 0 the caller has validated."""
     if z >= a:
         raise RegimeError(f"lower expansion requires z < a, got z={z}, a={a}")
     total, used = _sum_optimal(_lower_terms(a, z, K))
-    return _prefactor(a, z, lg) * total, used
+    return _prefactor(a, z) * total, used
 
 
-def _gamma_series_upper(a: float, z: float, K: int, lg: float) -> tuple[float, int]:
+def _gamma_series_upper(a: float, z: float, K: int) -> tuple[float, int]:
     """(value, terms used) of the upper series at z > a, as _gamma_series_lower."""
     if z <= a:
         raise RegimeError(f"upper expansion requires z > a, got z={z}, a={a}")
     total, used = _sum_optimal(_upper_terms(a, z, K))
-    return _prefactor(a, z, lg) * total, used
+    return _prefactor(a, z) * total, used
 
 
 def _transition_sum(a: float, phi: Sequence[float]) -> float:
     """Transition-regime sum a^(a+1) e^(-a) / Gamma(a+1) * sum_k c_k phi_k
     over the given Phi values (one sequence, or a difference of two)."""
     c = _transition_coeffs(a, len(phi) - 1)
-    return _prefactor(a, a, math.lgamma(a + 1.0)) * math.fsum(ck * pk for ck, pk in zip(c, phi))
+    return _prefactor(a, a) * math.fsum(ck * pk for ck, pk in zip(c, phi))
 
 
 def gamma_series_lower(a: float, z: float, K: int = 20) -> float:
@@ -291,7 +262,7 @@ def gamma_series_lower(a: float, z: float, K: int = 20) -> float:
         raise DomainError(f"argument must be finite and nonnegative, got z={z!r}")
     if z == 0.0:
         return 0.0
-    return _gamma_series_lower(a, z, K, math.lgamma(a + 1.0))[0]
+    return _gamma_series_lower(a, z, K)[0]
 
 
 def gamma_series_upper(a: float, z: float, K: int = 20) -> float:
@@ -304,7 +275,7 @@ def gamma_series_upper(a: float, z: float, K: int = 20) -> float:
     _check_order(K)
     if not math.isfinite(z):
         raise DomainError(f"argument must be finite, got z={z!r}")
-    return _gamma_series_upper(a, z, K, math.lgamma(a + 1.0))[0]
+    return _gamma_series_upper(a, z, K)[0]
 
 
 def gamma_series_transition(a: float, z: float, K: int = 20) -> float:

@@ -9,10 +9,11 @@ between the two.  The Newton step uses the closed-form slope
 
     dV/dtheta = p_a(g) g / (1 + theta),   a = n/2,
 
-with p_a the Gamma(a) density.  It is p_a(f) f' - p_a(g) g' with one
-density: at the likelihood-ratio threshold the likelihoods are equal, so
-p_a(f) = p_a(g) / (1 + theta), and f = (1 + theta) g gives f' = g + (1 + theta) g'.
-The slope only steers the search; the bracket guarantees the result.
+with p_a the Gamma(a) density (special._gamma_log_density, accurate at every
+n).  It is p_a(f) f' - p_a(g) g' with one density: at the likelihood-ratio
+threshold the likelihoods are equal, so p_a(f) = p_a(g) / (1 + theta), and
+f = (1 + theta) g gives f' = g + (1 + theta) g'.  The slope only steers the
+search; the bracket guarantees the result.
 
 With lambda = sqrt(1 - 4y) the closed-form snr is
 (1 - 2y + sqrt(1 - 4y))/(2y) - 1 = 2 lambda / (1 - lambda).  The code
@@ -28,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, DomainError
-from .expansions import MAX_A_LOG_A
+from .special import _gamma_log_density, _gamma_log_norm
 from .tvd import _fg, _tvd_fg, _tvd_value
 from .types import check_blocklength, check_sigma2
 
@@ -118,11 +119,13 @@ def p_exact(n: int, delta: float, sigma2: float = 1.0) -> PowerInterval:
     the endpoints invert; a non-bracketing interval raises
     ConsistencyError because it can only mean an implementation bug.
     From a regula-falsi start, each iterate's distance shrinks the
-    bracket, and a Newton step that would leave the bracket is replaced by
-    bisection.  Iteration stops once the step or the bracket is below the
-    fixed relative tolerance _REL_TOL = 1e-10.  Distances come from
-    tvd._tvd_fg, the scalar kernel behind tvd_exact, and each Newton slope
-    reuses the g of the distance evaluation before it.
+    bracket, and a Newton step that would leave the bracket, or that is not
+    at most half the step before (past n ~ 1e13 the distance is a fine
+    staircase in theta, where Newton can wander), is replaced by bisection.
+    Iteration stops once the step or the bracket is below the fixed
+    relative tolerance _REL_TOL = 1e-10.  Distances come from tvd._tvd_fg,
+    the scalar kernel behind tvd_exact, and each Newton slope reuses the g
+    of the distance evaluation before it.
     """
     check_sigma2(sigma2)
     n, y, y0, lam, lam1 = _budget(n, delta)
@@ -138,11 +141,9 @@ def p_exact(n: int, delta: float, sigma2: float = 1.0) -> PowerInterval:
             f"endpoints deviate by ({f_lo:+.3e}, {f_hi:+.3e})"
         )
     a = 0.5 * n
-    # past MAX_A_LOG_A the slope's density has no reliable digit and a wrong
-    # slope would stop the iteration early, so p_exact bisects there
-    newton = a * math.log(a) <= MAX_A_LOG_A
-    log_norm = math.lgamma(a)
+    log_norm = _gamma_log_norm(a)
     theta = lo - f_lo * (hi - lo) / (f_hi - f_lo) if f_hi > f_lo else lo
+    last = math.inf
     while True:
         f, g = _fg(n, theta)
         resid = _tvd_fg(a, f, g) - delta
@@ -152,10 +153,11 @@ def p_exact(n: int, delta: float, sigma2: float = 1.0) -> PowerInterval:
             lo = theta
         else:
             hi = theta
-        slope = _tvd_slope(a, theta, g, log_norm) if newton else 0.0
+        slope = _tvd_slope(a, theta, g, log_norm)
         step = resid / slope if slope > 0.0 else math.inf
-        if not lo < theta - step < hi:
+        if not (lo < theta - step < hi and abs(step) <= 0.5 * last):
             step = theta - 0.5 * (lo + hi)
+        last = abs(step)
         theta -= step
         if abs(step) <= _REL_TOL * theta or hi - lo <= _REL_TOL * hi:
             break
@@ -164,5 +166,5 @@ def p_exact(n: int, delta: float, sigma2: float = 1.0) -> PowerInterval:
 
 def _tvd_slope(a: float, theta: float, g: float, log_norm: float) -> float:
     """dV/dtheta = p_a(g) g / (1 + theta) at a = n/2, g = _fg(n, theta)[1],
-    p_a the Gamma(a) density, log_norm = lgamma(a); a ln a <= MAX_A_LOG_A."""
-    return math.exp(a * math.log(g) - g - log_norm) / (1.0 + theta)
+    p_a the Gamma(a) density, log_norm = special._gamma_log_norm(a)."""
+    return math.exp(_gamma_log_density(a, g, log_norm)) / (1.0 + theta)

@@ -160,3 +160,35 @@ def q_inv(p: float) -> float:
     if not (math.isfinite(p) and 0.0 < p < 1.0):
         raise DomainError(f"tail probability must lie in (0, 1), got {p!r}")
     return -ndtri(p)
+
+
+def _phi(x: float) -> float:
+    """x - ln(1 + x) for x > -1; below |x| = 1/4, where that cancels, the
+    Taylor series of x - 2 atanh(r) in r = x/(2 + x)."""
+    if -0.25 < x < 0.25:
+        r = x / (2.0 + x)
+        t = r * r
+        return r * (x - 2.0 * t * (1 / 3 + t * (1 / 5 + t * (1 / 7 + t * (1 / 9 + t * (
+            1 / 11 + t * (1 / 13 + t * (1 / 15 + t * (1 / 17 + t / 19)))))))))
+    return x - math.log1p(x)
+
+
+def _gamma_log_norm(b: float) -> float:
+    """ln[e^(-b) b^b / Gamma(b)] = ln(b/2pi)/2 - ln Gamma*(b), with Stirling's
+    series for ln Gamma*(b) (DLMF 5.11.1) from b = 20 on and lgamma below."""
+    if b < 20.0:
+        return b * math.log(b) - b - math.lgamma(b)
+    t = 1.0 / (b * b)
+    return 0.5 * math.log(b / (2.0 * math.pi)) - (
+        1 / 12 - t * (1 / 360 - t * (1 / 1260 - t * (1 / 1680 - t / 1188)))) / b
+
+
+def _gamma_log_density(b: float, z: float, log_norm: float) -> float:
+    """ln[e^(-z) z^b / Gamma(b)] = log_norm - b phi((z - b)/b), z > 0, log_norm =
+    _gamma_log_norm(b) (0 gives ln[e^(b - z) (z/b)^b]): no term of size b ln b.
+    Below z = b/2, ln(1 + x) is ln(z/b), as x rounds to -1 once z/b < 2^-53."""
+    x = (z - b) / b
+    if x < -0.5:
+        r = z / b  # 0.0 where z/b underflows
+        return log_norm - b * (x - (math.log(r) if r else math.log(z) - math.log(b)))
+    return log_norm - b * _phi(x)

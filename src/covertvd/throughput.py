@@ -163,6 +163,7 @@ def v_hat_mu(P: float, R: float) -> float:
     """Shell dispersion (log2 e / (2(1+P)))^2 (4R + 2P^2)
     = dispersion(P) * (2R + P^2)/(2P + P^2)."""
     _check_power(P)
+    _check_radius(R)
     return _v_hat(P, R)
 
 
@@ -186,6 +187,7 @@ def b_mu(P: float, R: float, mu: float) -> float:
 def be_margin(n: int, P: float, mu: float) -> float:
     """Normal-approximation validity margin 2 B_mu(P, mu P)/sqrt(n); the
     approximation's Berry-Esseen guard asks for this to be below eps."""
+    n = check_blocklength(n)
     return 2.0 * b_mu(P, mu * P, mu) / math.sqrt(n)
 
 

@@ -29,7 +29,7 @@ from .expansions import (
     _phi_transition,
     _transition_sum,
 )
-from .special import reg_lower_gamma, reg_upper_gamma
+from .special import _gamma_log_density, reg_lower_gamma, reg_upper_gamma
 from .types import (
     METHOD_EXACT,
     METHOD_SERIES_HIGH,
@@ -79,8 +79,7 @@ def log_tail_weight(n: int, z: float) -> float:
     Identity: log_tail_weight(n, f) == log_tail_weight(n, g) for the pair
     (f, g) of any channel point, since f - g = (n/2) ln(f/g).
     """
-    half = 0.5 * n
-    return half - z + half * math.log(z / half)
+    return _gamma_log_density(0.5 * n, z, 0.0)
 
 
 def _tvd_fg(half: float, f: float, g: float) -> float:
@@ -150,9 +149,8 @@ def tvd_series(point: ChannelPoint, K: int = 20) -> TvdEvaluation:
                 f"linear-regime series need g < a < f, but the arguments round to "
                 f"g={g}, f={f} at a={a}: their gap to a is below its ulp"
             )
-        lg = math.lgamma(a + 1.0)
-        upper, terms_f = _gamma_series_upper(a, f, K, lg)
-        lower, terms_g = _gamma_series_lower(a, g, K, lg)
+        upper, terms_f = _gamma_series_upper(a, f, K)
+        lower, terms_g = _gamma_series_lower(a, g, K)
         value = 1.0 - upper - lower
         terms = max(terms_f, terms_g)
         method = METHOD_SERIES_LOW

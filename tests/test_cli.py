@@ -98,9 +98,9 @@ class TestBudgetNearOne:
 
 
 class TestHugeBlocklengthPower:
-    # the Gamma(n/2) log density behind the Newton slope has no reliable
-    # digit here (its exp can overflow, and a wrong slope stops the iteration
-    # early); p_exact must still land on V ~ erf(sqrt(n) theta / 4) = delta
+    # Newton runs here too: its slope is the scaled Gamma(n/2) density,
+    # whose log has no term of size (n/2) ln(n/2); p_exact must land on
+    # V ~ erf(sqrt(n) theta / 4) = delta
     @pytest.mark.parametrize("exponent", [18, 20, 21, 22, 26])
     def test_power(self, capsys, exponent):
         n, delta = 10**exponent, 0.1
@@ -127,21 +127,31 @@ class TestSeriesTermOverflow:
 
 
 class TestHugeBlocklengthDensity:
-    # the log of the Gamma(n/2) density (quadrature) or of the series
-    # prefactor has no reliable digit here; in all but the last case its exp
-    # overflows
+    # the quadrature's log of the Gamma(n/2) density has no reliable digit
+    # here, and its exp overflows
     @pytest.mark.parametrize("argv", [
         ("--n", str(10**18), "--tau", "0.5", "--method", "quadrature"),
         ("--n", str(10**20), "--tau", "0.3", "--method", "quadrature"),
-        ("--n", str(10**18), "--tau", "0.45", "--method", "series"),
-        ("--n", "398107170553497250", "--tau", "0.45", "--method", "series", "--k", "0"),
-        # here the prefactor's exp does not overflow, but printed 0.99999999 (V = 0.974)
-        ("--n", str(10**16), "--tau", "0.45", "--method", "series"),
     ])
     def test_tvd_exits_accuracy(self, capsys, argv):
         code, _, err = run_cli(capsys, "tvd", *argv)
         assert code == EXIT_ACCURACY, err
         assert "no reliable digit" in err
+
+    @pytest.mark.parametrize("argv, point", [
+        (("--n", str(10**18), "--tau", "0.45"), ChannelPoint.from_tau(10**18, 0.45)),
+        (("--n", "398107170553497250", "--tau", "0.45", "--k", "0"),
+         ChannelPoint.from_tau(398107170553497250, 0.45)),
+        # V = 0.97427; the series gives 0.97266
+        (("--n", str(10**16), "--tau", "0.45"), ChannelPoint.from_tau(10**16, 0.45)),
+    ])
+    def test_series_exits_ok(self, capsys, argv, point):
+        # the series prefactors keep their digits at any n, and err_estimate
+        # is the series' deviation from the exact kernel
+        code, out, err = run_cli(capsys, "tvd", *argv, "--method", "series", "--format", "json")
+        assert code == EXIT_OK, err
+        row = json.loads(out)[0]
+        assert row["err_estimate"] == abs(row["value"] - tvd_exact(point).value)
 
     @pytest.mark.parametrize("n", (10**200, 10**300))
     def test_series_gap_below_ulp_exits_accuracy(self, capsys, n):
@@ -152,7 +162,7 @@ class TestHugeBlocklengthDensity:
         assert "below its ulp" in err
 
     def test_series_prefactors_below_double_range(self, capsys):
-        # both series prefactors are exp(-O(1e12)) = 0.0, however their logs round
+        # both series prefactors are exp(-O(1e12)) = 0.0
         code, out, err = run_cli(capsys, "tvd", "--n", str(10**14), "--tau", "0.01",
                                  "--method", "series")
         assert code == EXIT_OK, err
@@ -236,6 +246,14 @@ class TestLargeSnrBounds:
         code, _, err = run_cli(capsys, "bounds", "--n", "100", "--theta", theta)
         assert code == EXIT_OK, err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("theta", ("1e20", "1e300"))
+    def test_series_where_g_is_below_an_ulp_of_a(self, capsys, theta):
+        # g/a < 2^-53, so (g - a)/a rounds to -1 in the lower prefactor
+        code, out, err = run_cli(capsys, "tvd", "--n", "100", "--theta", theta,
+                                 "--method", "series", "--format", "json")
+        assert code == EXIT_OK, err
+        assert json.loads(out)[0]["value"] == 1.0
 
     @pytest.mark.parametrize("n", ("100", "1000000"))
     @pytest.mark.parametrize("theta", ("1e308", "1.7e308"))

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from covertvd.errors import AccuracyError, DomainError, OrderError, RegimeError
+from covertvd.errors import DomainError, OrderError, RegimeError
 from covertvd.expansions import (
     _lower_terms,
+    _phi_transition,
     _sum_optimal,
     _transition_coeffs,
     _upper_terms,
@@ -312,27 +313,49 @@ class TestGammaSeriesTransition:
             gamma_series_transition(a, a + 2.0 * a ** (2.0 / 3.0), 10)
 
 
+def series_with_mpmath_prefactor(series, a, z, K=20):
+    """The truncated series' own double-precision sum (the optimal-truncation
+    sum for the linear series, the transition sum at z) times its prefactor
+    e^(-w) w^(a+1) / Gamma(a+1) in 50-digit mpmath, w = z (w = a for the
+    transition series)."""
+    mp = pytest.importorskip("mpmath")
+    if series is gamma_series_transition:
+        total = math.fsum(c * p for c, p in zip(_transition_coeffs(a, K), _phi_transition(a, z, K)))
+        z = a
+    else:
+        terms = _lower_terms if series is gamma_series_lower else _upper_terms
+        total = _sum_optimal(terms(a, z, K))[0]
+    with mp.workdps(50):
+        w, b = mp.mpf(z), mp.mpf(a) + 1
+        return float(mp.exp(-w + b * mp.log(w) - mp.loggamma(b)) * total)
+
+
 class TestHugeShapePrefactor:
-    # the log prefactor's terms are ~a ln a, and their rounding alone
-    # overflows its exp at these shapes: no value, AccuracyError
+    # the prefactor's log has no a ln a term, so at huge shapes each series
+    # returns its own truncated value.  The value may leave [0, 1]: a - z is
+    # only ~sqrt(a) in several cases, outside the series' regime.  Past
+    # a = 2^53, a + 1 rounds, which moves the prefactor by about |z - a|/a.
     @pytest.mark.parametrize("series, a, z", [
         (gamma_series_lower, 3.3375630981492705e18, 3.337563079880272e18),
         (gamma_series_upper, 5e17, 5e17 + 1e10),
         (gamma_series_transition, 4.909384718029592e17, 4.909384718029592e17),
-        # no overflow here, but the rounded log prefactor gave -2.0e-18 and 0.0
         (gamma_series_lower, 1e18, 1e18 - 1e9),
         (gamma_series_lower, 1e19, 1e19 - 1e9),
         (gamma_series_upper, 1e19, 1e19 + 1e10),
     ])
     def test_accuracy_error(self, series, a, z):
-        with pytest.raises(AccuracyError, match="no reliable digit"):
-            series(a, z)
+        # the value's error against the same sum with a 50-digit prefactor
+        ref = series_with_mpmath_prefactor(series, a, z)
+        assert ref != 0.0
+        assert abs(series(a, z) - ref) <= 1e-6 * abs(ref)
 
     def test_threshold_is_a_log_a(self):
-        # just below MAX_A_LOG_A (a ~ 1.48e13) a value, just above it none
-        assert 0.0 < gamma_series_transition(1.4e13, 1.4e13) < 1.0
-        with pytest.raises(AccuracyError, match="no reliable digit"):
-            gamma_series_transition(1.6e13, 1.6e13)
+        # a ln a = 0.1/eps (a ~ 1.48e13) is no threshold: on both sides of it
+        # (a + 1 still exact) the transition series has its full precision
+        for a in (1.4e13, 1.6e13):
+            ref = series_with_mpmath_prefactor(gamma_series_transition, a, a)
+            assert 0.0 < ref < 1.0
+            assert abs(gamma_series_transition(a, a) - ref) <= 1e-12 * ref
 
     @pytest.mark.parametrize("series, a, z", [
         (gamma_series_lower, 2e13, 1.0),
@@ -341,8 +364,7 @@ class TestHugeShapePrefactor:
         (gamma_series_upper, 1e19, 2e19),
     ])
     def test_prefactor_far_below_double_range_is_zero(self, series, a, z):
-        # the log prefactor (~ -1e12 and below) has no reliable digit, but
-        # not even its rounding lifts its exp above the smallest subnormal
+        # the prefactor's log is about -1e12 or below
         assert series(a, z) == 0.0
 
 

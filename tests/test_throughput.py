@@ -181,6 +181,9 @@ class TestMomentMachinery:
         lambda: b_mu(0.1, 0.05, 0.0),
         lambda: v_hat_mu(math.nan, 0.1),
         lambda: be_margin(1000, 0.1, 1.5),
+        lambda: be_margin(0, 0.1, 0.5),
+        lambda: be_margin(-4, 0.1, 0.5),
+        lambda: v_hat_mu(0.1, -1.0),
     ))
     def test_public_domain_checks(self, call):
         with pytest.raises(DomainError):
