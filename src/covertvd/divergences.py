@@ -96,11 +96,16 @@ def tvd_bounds(point: ChannelPoint) -> BoundsReport:
     hsq = hellinger_sq(point)
     # (1 - H^2)^2 carried in log form; sason = sqrt(1 - (1 - H^2)^2)
     sason = math.sqrt(-math.expm1(0.5 * point.n * _log_base(point.theta)))
+    pinsker = math.sqrt(0.5 * fwd_nats)
+    if pinsker == math.inf:
+        # D = (n/2) phi(theta) overflowed although sqrt(D/2) is finite;
+        # splitting the root only here keeps every finite bound bit-identical
+        pinsker = math.sqrt(0.25 * point.n) * math.sqrt(_phi(point.theta))
     return BoundsReport(
         kl_fwd=fwd_nats * LOG2E,
         kl_rev=_kl_rev_nats(point.n, point.theta) * LOG2E,
         hellinger_sq=hsq,
-        pinsker_upper=math.sqrt(0.5 * fwd_nats),
+        pinsker_upper=pinsker,
         sason_upper=sason,
         sqrt2h_upper=math.sqrt(2.0 * hsq),
         kl_exp_upper=math.sqrt(-math.expm1(-fwd_nats)),

@@ -2,14 +2,18 @@
 path: adaptive quadrature of the radial density-difference integral, and a
 seeded likelihood-ratio-test simulator verifying TVD = 1 - (alpha + beta).
 
-The quadrature is scipy's public quad, always taken through _bare_quad.
-Unless scipy.integrate is already imported, it comes from
-scipy.integrate._quadpack_py, loaded on the first call by
-special._bare_import without scipy/integrate/__init__.py (which
-imports the ODE, BVP and cubature solvers and so scipy.optimize,
-scipy.linalg, scipy.sparse and the full scipy.special): about 0.2 s
-instead of about 0.6 s on scipy 1.17.1.  _quadpack_py still imports
-scipy's array-API layer (numpy.f2py, numpy.testing).
+The quadrature is QUADPACK's dqagse (Piessens et al., QUADPACK, 1983),
+called directly as _qagse from scipy's compiled extension
+scipy.integrate._quadpack, the routine scipy's quad runs for finite
+limits.  _bare_quad loads it on the first call through
+special._bare_import, without scipy/integrate/__init__.py (which imports
+the ODE, BVP and cubature solvers and so scipy.optimize, scipy.linalg,
+scipy.sparse and the full scipy.special) and without the Python module
+scipy.integrate._quadpack_py behind quad (which imports scipy's array-API
+layer, numpy.f2py and numpy.testing): the load takes under 1 ms and
+imports nothing beyond numpy, which covertvd has already loaded.  With the
+same positional arguments quad passes, value, error estimate and
+evaluation count are quad's bit for bit.
 """
 
 from __future__ import annotations
@@ -25,13 +29,25 @@ from .special import _bare_import
 from .types import METHOD_MONTE_CARLO, METHOD_QUADRATURE, ChannelPoint, TvdEvaluation, check_int
 
 _QUAD_ABS_TARGET = 1e-10
+_QUAD_LIMIT = 300
+
+# dqagse's warning codes; any other nonzero ier is a failed call
+_QAGSE_WARNINGS = {
+    1: f"maximum number of subdivisions ({_QUAD_LIMIT}) has been achieved",
+    2: "roundoff error prevents the requested tolerance",
+    3: "extremely bad integrand behavior in the interval",
+    4: "the extrapolation does not converge (roundoff)",
+    5: "the integral is probably divergent or slowly convergent",
+}
 
 
 @functools.cache
 def _bare_quad():
-    """scipy's public quad, from scipy.integrate._quadpack_py loaded without
-    scipy/integrate/__init__.py (see special._bare_import)."""
-    return _bare_import("scipy.integrate", "_quadpack_py").quad
+    """QUADPACK's dqagse, scipy.integrate._quadpack._qagse, loaded without
+    scipy/integrate/__init__.py (see special._bare_import).  Positional call:
+    _qagse(func, a, b, args, full_output, epsabs, epsrel, limit) returns
+    (value, abserr, infodict, ier)."""
+    return _bare_import("scipy.integrate", "_quadpack")._qagse
 
 
 @dataclass(frozen=True)
@@ -63,7 +79,13 @@ def lrt_threshold(point: ChannelPoint) -> float:
     the likelihood-ratio test; R^2/(2 sigma^2) = f and R^2/(2 sigma1^2) = g."""
     if point.theta <= 0.0:
         raise DomainError("the test is degenerate at theta = 0 (identical hypotheses)")
-    return point.n * point.sigma2 * (1.0 + point.theta) * math.log1p(point.theta) / point.theta
+    n_sigma2, theta = point.n * point.sigma2, point.theta
+    r2 = n_sigma2 * (1.0 + theta) * math.log1p(theta) / theta
+    if r2 == math.inf:
+        # n sigma^2 (1 + theta) overflowed although R^2 ~ n sigma^2 ln(1 + theta)
+        # may be finite; regrouping only here keeps every finite R^2 bit-identical
+        r2 = n_sigma2 * ((1.0 + theta) * (math.log1p(theta) / theta))
+    return r2
 
 
 def simulate_test(
@@ -101,8 +123,9 @@ def simulate_test(
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]))
     x = rng.chisquare(point.n, size=m)
-    false_alarms = int(np.count_nonzero(point.sigma2 * x > r2))
-    missed = int(np.count_nonzero(point.sigma1_sq * x <= r2))
+    with np.errstate(over="ignore"):  # an energy past the double range is above R^2
+        false_alarms = int(np.count_nonzero(point.sigma2 * x > r2))
+        missed = int(np.count_nonzero(point.sigma1_sq * x <= r2))
     p = (false_alarms + missed) / m  # <= 1 exactly: the events are disjoint
     return DetectionEstimate(
         alpha_hat=false_alarms / m,
@@ -132,37 +155,43 @@ def tvd_quadrature(point: ChannelPoint) -> TvdEvaluation:
     exp((n/2 - 1) ln t - t - lnGamma(n/2)) between the two scaled
     thresholds R^2/(2 sigma1^2) and R^2/(2 sigma^2); this is the density
     difference integral after the radial substitution, evaluated on a path
-    fully independent of the incomplete-gamma baseline.  A quadrature
-    warning is tolerated as long as the error estimate meets the target;
-    otherwise it is reported in the AccuracyError.  So is a density whose
-    exp overflows at huge n.
+    fully independent of the incomplete-gamma baseline.  A dqagse warning
+    (ier 1-5) is tolerated as long as the error estimate meets the target;
+    otherwise it is named in the AccuracyError.  So is any other nonzero
+    ier, a NaN error estimate, a non-finite limit, and a density whose log
+    or exp overflows at huge n.
     """
+    zero = TvdEvaluation(value=0.0, method=METHOD_QUADRATURE, terms_used=0, err_estimate=0.0)
     if point.theta == 0.0:
-        return TvdEvaluation(value=0.0, method=METHOD_QUADRATURE, terms_used=0, err_estimate=0.0)
+        return zero
+    where = f"at n={point.n}, theta={point.theta}"
     r2 = lrt_threshold(point)
     lo = r2 / (2.0 * point.sigma1_sq)
     hi = r2 / (2.0 * point.sigma2)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise AccuracyError(f"quadrature limits [{lo!r}, {hi!r}] are not finite {where}")
     half = 0.5 * point.n
-    lg = math.lgamma(half)
-
-    def integrand(t: float) -> float:
-        return math.exp((half - 1.0) * math.log(t) - t - lg)
-
-    # full_output=1 appends a warning message to the 3-tuple when quad warns
     try:
-        out = _bare_quad()(integrand, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=300, full_output=1)
+        # lgamma overflows from n ~ 5e305 on; from n ~ 1e18 on the exp of the
+        # density overflows, as its log's terms ~ (n/2) ln(n/2) lose every digit
+        # (the density itself stays below 1e162)
+        lg = math.lgamma(half)
+        if lo == hi:  # sigma1^2 rounds to sigma^2 (theta below ~1e-16)
+            return zero
+
+        def integrand(t: float) -> float:
+            return math.exp((half - 1.0) * math.log(t) - t - lg)
+
+        value, abserr, info, ier = _bare_quad()(integrand, lo, hi, (), 1, 1e-13, 1e-12, _QUAD_LIMIT)
     except OverflowError:
-        # the density itself stays below 1e162; only its log's rounding
-        # (terms ~ (n/2) ln(n/2), n ~ 1e18 and beyond) overflows the exp
-        raise AccuracyError(
-            f"radial density has no reliable digit at n={point.n}, theta={point.theta}"
-        ) from None
-    value, abserr, info = out[:3]
-    if abserr > _QUAD_ABS_TARGET:
-        warning = f": {out[3].splitlines()[0]}" if len(out) > 3 else ""
+        raise AccuracyError(f"radial density has no reliable digit {where}") from None
+    if ier and ier not in _QAGSE_WARNINGS:
+        raise AccuracyError(f"quadrature failed with QUADPACK code ier={ier} {where}")
+    if not abserr <= _QUAD_ABS_TARGET:
+        warning = f": {_QAGSE_WARNINGS[ier]}" if ier else ""
         raise AccuracyError(
             f"quadrature error estimate {abserr:.3e} exceeds target {_QUAD_ABS_TARGET:.0e} "
-            f"at n={point.n}, theta={point.theta}{warning}"
+            f"{where}{warning}"
         )
     return TvdEvaluation(
         value=min(1.0, max(0.0, float(value))),

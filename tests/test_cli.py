@@ -138,6 +138,13 @@ class TestHugeBlocklengthDensity:
         assert code == EXIT_ACCURACY, err
         assert "no reliable digit" in err
 
+    def test_lgamma_overflow_exits_accuracy(self, capsys):
+        # lgamma(n/2) itself overflows; this was a traceback
+        code, _, err = run_cli(capsys, "tvd", "--n", str(10**306), "--tau", "0.5",
+                               "--method", "quadrature")
+        assert code == EXIT_ACCURACY, err
+        assert "no reliable digit" in err
+
     @pytest.mark.parametrize("argv, point", [
         (("--n", str(10**18), "--tau", "0.45"), ChannelPoint.from_tau(10**18, 0.45)),
         (("--n", "398107170553497250", "--tau", "0.45", "--k", "0"),
@@ -171,11 +178,10 @@ class TestHugeBlocklengthDensity:
 
 
 def test_import_footprint(run_python, tmp_path):
-    # every subcommand but tvd --method quadrature runs without scipy.integrate,
-    # the full scipy.special and scipy's array-API layer; that one adds
-    # scipy.integrate._quadpack_py and the array-API layer, but no package init
-    # of scipy.integrate, scipy.optimize, scipy.linalg, scipy.sparse or
-    # scipy.special
+    # no subcommand loads scipy.integrate's package init, scipy.optimize,
+    # scipy.linalg, scipy.sparse, the full scipy.special or scipy's array-API
+    # layer; tvd --method quadrature adds only the compiled
+    # scipy.integrate._quadpack, loaded bare and dropped from sys.modules
     run_python(f"""
         import sys
         from covertvd.cli import main
@@ -184,6 +190,7 @@ def test_import_footprint(run_python, tmp_path):
         for argv in (
             ["tvd", *point],
             ["tvd", *point, "--method", "series"],
+            ["tvd", *point, "--method", "quadrature"],
             ["bounds", *point],
             ["power", "--n", "2000", "--delta", "0.1"],
             ["throughput", "--kind", "covert", "--n", "2000", "--eps", "1e-3", "--delta", "0.1"],
@@ -196,14 +203,10 @@ def test_import_footprint(run_python, tmp_path):
             ["figures", "--outdir", {str(tmp_path)!r}],
         ):
             assert main(argv) == 0, argv
-        for name in ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse",
-                     "numpy.f2py", "numpy.testing", "scipy._lib.array_api_compat",
-                     "scipy.special"):
+        for name in ("scipy.integrate", "scipy.integrate._quadpack_py", "scipy.optimize",
+                     "scipy.linalg", "scipy.sparse", "numpy.f2py", "numpy.testing",
+                     "scipy._lib.array_api_compat", "scipy._lib._array_api", "scipy.special"):
             assert name not in sys.modules, name
-        assert main(["tvd", *point, "--method", "quadrature"]) == 0
-        for name in ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse"):
-            assert name not in sys.modules, name
-        assert not hasattr(sys.modules.get("scipy.special"), "__file__")
     """)
 
 
@@ -255,6 +258,35 @@ class TestLargeSnrBounds:
         assert code == EXIT_OK, err
         assert json.loads(out)[0]["value"] == 1.0
 
+    def test_pinsker_where_kl_overflows(self, capsys):
+        # D = (n/2) phi(theta) ~ 5e309 overflows; sqrt(D/2) ~ 5e154 does not
+        code, out, err = run_cli(capsys, "bounds", "--n", "100", "--theta", "1e308",
+                                 "--format", "json")
+        assert code == EXIT_OK, err
+        row = json.loads(out)[0]
+        assert row["pinsker_upper"] == pytest.approx(5e154, rel=1e-14)
+        assert row["kl_fwd_bits"] == math.inf
+
+    @pytest.mark.parametrize("theta", ("1e307", "1e308"))
+    def test_quadrature_where_threshold_product_overflows(self, capsys, theta):
+        # n sigma^2 (1 + theta) overflows although R^2 ~ ln(1 + theta) is
+        # finite; this printed V = 0 (err 0 or nan), and V = 1 - O(1e-153)
+        code, out, err = run_cli(capsys, "tvd", "--n", "1", "--theta", theta,
+                                 "--method", "quadrature", "--format", "json")
+        assert code == EXIT_OK, err
+        row = json.loads(out)[0]
+        assert 0.0 <= row["err_estimate"] <= 1e-10
+        assert abs(row["value"] - 1.0) <= row["err_estimate"]
+
+    def test_monte_carlo_where_threshold_product_overflows(self, capsys):
+        # this exited 3 with "threshold must be finite and positive, got inf"
+        code, out, err = run_cli(capsys, "mc", "--n", "1", "--theta", "1e308", "--m", "1000",
+                                 "--seed", "1", "--format", "json")
+        assert code == EXIT_OK, err
+        assert err == ""
+        row = json.loads(out)[0]
+        assert row["tvd_hat"] == row["tvd_exact"] == 1.0
+
     @pytest.mark.parametrize("n", ("100", "1000000"))
     @pytest.mark.parametrize("theta", ("1e308", "1.7e308"))
     def test_tvd_saturates_where_n_theta_overflows(self, capsys, n, theta):
@@ -303,7 +335,7 @@ class TestSweepSchema:
 
 class TestQuadratureMethod:
     def test_large_blocklength_with_quad_warning(self, capsys):
-        # quad warns at this point but its error estimate meets the target
+        # dqagse warns at this point but its error estimate meets the target
         code, out, _ = run_cli(capsys, "tvd", "--n", "100000", "--tau", "0.7",
                                "--method", "quadrature", "--format", "json")
         assert code == EXIT_OK

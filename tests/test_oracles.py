@@ -41,6 +41,23 @@ class TestLrtThreshold:
         with pytest.raises(DomainError):
             lrt_threshold(ChannelPoint(n=10, theta=0.0))
 
+    @pytest.mark.parametrize("theta", (1e307, 1e308, 1.7e308))
+    def test_finite_where_n_theta_overflows(self, theta):
+        # n sigma^2 (1 + theta) passes the double range; R^2 ~ ln(1 + theta) does not
+        point = ChannelPoint(n=1, theta=theta)
+        assert lrt_threshold(point) == pytest.approx(math.log1p(theta), rel=1e-15)
+
+    @given(n=st.integers(1, 10**6), theta=st.floats(1e-8, 1e300), sigma2=st.floats(0.1, 10.0))
+    @settings(max_examples=150, deadline=None)
+    def test_finite_threshold_bits_unchanged(self, n, theta, sigma2):
+        # the regrouped product is taken only where the plain one overflows
+        plain = n * sigma2 * (1.0 + theta) * math.log1p(theta) / theta
+        r2 = lrt_threshold(ChannelPoint(n=n, sigma2=sigma2, theta=theta))
+        if math.isfinite(plain):
+            assert r2 == plain
+        else:
+            assert r2 == pytest.approx(n * sigma2 * math.log1p(theta), rel=1e-14)
+
 
 class TestSimulateTest:
     def test_deterministic_given_seed(self):
@@ -190,25 +207,55 @@ class TestTvdQuadrature:
         assert 0.0 <= ev.err_estimate <= 1e-10
         assert ev.terms_used > 0
 
-    def test_quad_warning_within_target_is_accepted(self, monkeypatch):
-        monkeypatch.setattr(oracles, "_bare_quad", lambda: (
-            lambda *args, **kwargs: (0.125, 1e-12, {"neval": 21}, "roundoff")))
-        ev = tvd_quadrature(ChannelPoint(n=500, theta=0.05))
-        assert ev.value == 0.125
-        assert ev.terms_used == 21
+    @staticmethod
+    def fake_qagse(monkeypatch, *result):
+        # _qagse(func, a, b, args, full_output, epsabs, epsrel, limit) returns
+        # (value, abserr, infodict, ier)
+        monkeypatch.setattr(oracles, "_bare_quad", lambda: lambda *args: result)
 
-    @pytest.mark.parametrize("n, tau", ((10**18, 0.5), (10**20, 0.3)))
+    def test_quad_warning_within_target_is_accepted(self, monkeypatch):
+        for ier in (1, 2, 3, 4, 5):
+            self.fake_qagse(monkeypatch, 0.125, 1e-12, {"neval": 21}, ier)
+            ev = tvd_quadrature(ChannelPoint(n=500, theta=0.05))
+            assert ev.value == 0.125
+            assert ev.terms_used == 21
+
+    @pytest.mark.parametrize("n, tau", ((10**18, 0.5), (10**20, 0.3), (10**306, 0.5)))
     def test_density_overflow_is_accuracy_error(self, n, tau):
-        # rounding of the log density's ~(n/2) ln(n/2) terms overflows its exp
+        # rounding of the log density's ~(n/2) ln(n/2) terms overflows its
+        # exp; at n = 1e306 lgamma(n/2) itself overflows
         with pytest.raises(AccuracyError, match="no reliable digit"):
             tvd_quadrature(ChannelPoint.from_tau(n, tau))
 
     def test_quad_warning_reported_in_accuracy_error(self, monkeypatch):
-        message = "The maximum number of subdivisions (300) has been achieved.\n  more advice"
-        monkeypatch.setattr(oracles, "_bare_quad", lambda: (
-            lambda *args, **kwargs: (0.125, 1e-6, {"neval": 21}, message)))
+        self.fake_qagse(monkeypatch, 0.125, 1e-6, {"neval": 21}, 1)
         with pytest.raises(AccuracyError, match=r"maximum number of subdivisions \(300\)"):
             tvd_quadrature(ChannelPoint(n=500, theta=0.05))
+
+    @pytest.mark.parametrize("ier", (6, 7, 80))
+    def test_unknown_quadpack_code_is_accuracy_error(self, monkeypatch, ier):
+        # quad raised ValueError for ier = 6; no other code is a dqagse warning
+        self.fake_qagse(monkeypatch, 0.125, 1e-12, {"neval": 21}, ier)
+        with pytest.raises(AccuracyError, match=f"ier={ier}"):
+            tvd_quadrature(ChannelPoint(n=500, theta=0.05))
+
+    def test_nan_error_estimate_is_accuracy_error(self, monkeypatch):
+        self.fake_qagse(monkeypatch, 0.0, math.nan, {"neval": 441}, 0)
+        with pytest.raises(AccuracyError, match="error estimate nan exceeds target"):
+            tvd_quadrature(ChannelPoint(n=500, theta=0.05))
+
+    def test_non_finite_limits_never_reach_quadpack(self, monkeypatch):
+        # n sigma^2 overflows, so R^2 and both limits are infinite
+        self.fake_qagse(monkeypatch, 0.125, 1e-12, {"neval": 21}, 0)
+        with pytest.raises(AccuracyError, match="not finite"):
+            tvd_quadrature(ChannelPoint(n=10**308, sigma2=10.0, theta=1.0))
+
+    @pytest.mark.parametrize("theta", (1e307, 1e308))
+    def test_huge_snr_saturates(self, theta):
+        # R^2 is regrouped where n sigma^2 (1 + theta) overflows; V = 1 - O(1e-153)
+        ev = tvd_quadrature(ChannelPoint(n=1, theta=theta))
+        assert 0.0 <= ev.err_estimate <= 1e-10
+        assert abs(ev.value - 1.0) <= ev.err_estimate
 
 
 def test_package_import_leaves_scipy_integrate_unloaded(run_python):
@@ -219,8 +266,9 @@ def test_package_import_leaves_scipy_integrate_unloaded(run_python):
 
 
 class TestBareQuadLoad:
-    """tvd_quadrature takes scipy's public quad from scipy.integrate._quadpack_py
-    without running scipy.integrate's package init, and leaves scipy.integrate
+    """tvd_quadrature takes QUADPACK's dqagse from the compiled extension
+    scipy.integrate._quadpack, without running scipy.integrate's package init
+    or loading scipy's Python quad wrapper, and leaves scipy.integrate
     importable as usual."""
 
     def test_package_init_not_run(self, run_python):
@@ -241,11 +289,13 @@ class TestBareQuadLoad:
             for _ in range(2):
                 ev = oracles.tvd_quadrature(ChannelPoint(n=2, theta=1.0))
                 assert abs(ev.value - 0.25) <= 1e-10
-            assert "scipy.integrate._quadpack_py" in Requests.names
-            assert "scipy.integrate" not in Requests.names
+            assert "scipy.integrate._quadpack" in Requests.names
+            for name in ("scipy.integrate", "scipy.integrate._quadpack_py"):
+                assert name not in Requests.names, name
             assert not any(m == "scipy.integrate" or m.startswith("scipy.integrate.")
                            for m in sys.modules)
-            for name in ("scipy.optimize", "scipy.linalg", "scipy.sparse"):
+            for name in ("scipy.optimize", "scipy.linalg", "scipy.sparse", "scipy._lib._array_api",
+                         "numpy.f2py", "numpy.testing"):
                 assert name not in sys.modules, name
             assert oracles._bare_quad.cache_info().misses == 1
         """)
@@ -257,15 +307,18 @@ class TestBareQuadLoad:
             from covertvd.types import ChannelPoint
             point = ChannelPoint.from_tau(1000, 0.3)
             ev = oracles.tvd_quadrature(point)
-            bare = oracles._bare_quad()
+            qagse = oracles._bare_quad()
             import scipy.integrate
             assert scipy.integrate.__file__.endswith("__init__.py")
-            assert scipy.integrate.quad is not bare
-            for f, lo, hi in ((math.exp, 0.0, 1.0), (lambda t: t ** 9 * math.exp(-t), 1.0, 40.0)):
-                a = bare(f, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=300, full_output=1)
+            # quad's call for finite, ordered limits is this positional _qagse call
+            for f, lo, hi in ((math.exp, 0.0, 1.0), (lambda t: t ** 9 * math.exp(-t), 1.0, 40.0),
+                              (lambda t: t ** -0.5, 1e-300, 2.0),
+                              (lambda t: abs(math.sin(1.0 / t)), 1e-9, 1.0)):  # ier = 1
+                value, abserr, info, ier = qagse(f, lo, hi, (), 1, 1e-13, 1e-12, 300)
                 b = scipy.integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=300,
                                          full_output=1)
-                assert a[:2] == b[:2] and a[2]["neval"] == b[2]["neval"]
+                assert (value, abserr, info["neval"]) == (b[0], b[1], b[2]["neval"])
+                assert (ier == 0) == (len(b) == 3)
             assert oracles.tvd_quadrature(point) == ev
             sol = scipy.integrate.solve_ivp(lambda t, y: -y, (0.0, 1.0), [1.0],
                                             rtol=1e-10, atol=1e-12)
@@ -273,9 +326,9 @@ class TestBareQuadLoad:
         """)
 
     def test_concurrent_first_calls(self, run_python):
-        # the first call loads quad for ~0.2 s with a stand-in for
-        # scipy.integrate in sys.modules; threads arriving meanwhile wait
-        # for that one load instead of finding the stand-in
+        # the first call loads QUADPACK with a stand-in for scipy.integrate in
+        # sys.modules; threads arriving meanwhile wait for that one load
+        # instead of finding the stand-in
         run_python("""
             import threading
             from covertvd import oracles, special
@@ -302,7 +355,7 @@ class TestBareQuadLoad:
                 assert results[point] == oracles.tvd_quadrature(point)
                 assert abs(results[point].value - tvd_exact(point).value) <= 1e-8
             assert list(special._bare_modules) == ["scipy.special.cython_special",
-                                                   "scipy.integrate._quadpack_py"]
+                                                   "scipy.integrate._quadpack"]
         """)
 
     def test_failed_bare_import_falls_back(self, run_python):
@@ -324,5 +377,5 @@ class TestBareQuadLoad:
             assert abs(ev.value - 0.25) <= 1e-10
             import scipy.integrate
             assert scipy.integrate.__file__.endswith("__init__.py")
-            assert oracles._bare_quad() is scipy.integrate.quad
+            assert oracles._bare_quad() is scipy.integrate._quadpack._qagse
         """)
