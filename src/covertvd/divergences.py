@@ -48,13 +48,12 @@ def _kl_fwd_nats(n: int, theta: float) -> float:
 
 
 def _kl_rev_nats(n: int, theta: float) -> float:
-    # ln(1+theta) + 1/(1+theta) - 1 = ln(1+theta) - theta/(1+theta)
-    if theta < 1e-4:
-        t = theta
-        core = t * t * (0.5 - t * (2.0 / 3.0 - t * (0.75 - 0.8 * t)))
-    else:
-        core = math.log1p(theta) - theta / (1.0 + theta)
-    return 0.5 * n * core
+    # ln(1+theta) - theta/(1+theta) = phi(x), x = -theta/(1+theta); from
+    # theta = 1/3 (x = -1/4) on phi is a plain difference too, and x rounds
+    # to -1 at huge theta, so the difference is taken in theta there
+    if theta < 1.0 / 3.0:
+        return 0.5 * n * _phi(-theta / (1.0 + theta))
+    return 0.5 * n * (math.log1p(theta) - theta / (1.0 + theta))
 
 
 def kl_divergences(point: ChannelPoint, units: str = "bits") -> tuple[float, float]:

@@ -5,27 +5,24 @@ seeded likelihood-ratio-test simulator verifying TVD = 1 - (alpha + beta).
 The quadrature is QUADPACK's dqagse (Piessens et al., QUADPACK, 1983),
 called directly as _qagse from scipy's compiled extension
 scipy.integrate._quadpack, the routine scipy's quad runs for finite
-limits.  _bare_quad loads it on the first call through
-special._bare_import, without scipy/integrate/__init__.py (which imports
-the ODE, BVP and cubature solvers and so scipy.optimize, scipy.linalg,
-scipy.sparse and the full scipy.special) and without the Python module
-scipy.integrate._quadpack_py behind quad (which imports scipy's array-API
-layer, numpy.f2py and numpy.testing): the load takes under 1 ms and
-imports nothing beyond numpy, which covertvd has already loaded.  With the
-same positional arguments quad passes, value, error estimate and
-evaluation count are quad's bit for bit.
+limits.  special binds it at import, without
+scipy/integrate/__init__.py (which imports the ODE, BVP and cubature
+solvers and so scipy.optimize, scipy.linalg, scipy.sparse and the full
+scipy.special) and without the Python module scipy.integrate._quadpack_py
+behind quad (which imports scipy's array-API layer, numpy.f2py and
+numpy.testing).  With the same positional arguments quad passes, value,
+error estimate and evaluation count are quad's bit for bit.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AccuracyError, DomainError
-from .special import _bare_import
+from .special import _gamma_log_density, _gamma_log_norm, _qagse
 from .types import METHOD_MONTE_CARLO, METHOD_QUADRATURE, ChannelPoint, TvdEvaluation, check_int
 
 _QUAD_ABS_TARGET = 1e-10
@@ -39,15 +36,6 @@ _QAGSE_WARNINGS = {
     4: "the extrapolation does not converge (roundoff)",
     5: "the integral is probably divergent or slowly convergent",
 }
-
-
-@functools.cache
-def _bare_quad():
-    """QUADPACK's dqagse, scipy.integrate._quadpack._qagse, loaded without
-    scipy/integrate/__init__.py (see special._bare_import).  Positional call:
-    _qagse(func, a, b, args, full_output, epsabs, epsrel, limit) returns
-    (value, abserr, infodict, ier)."""
-    return _bare_import("scipy.integrate", "_quadpack")._qagse
 
 
 @dataclass(frozen=True)
@@ -160,10 +148,14 @@ def tvd_quadrature(point: ChannelPoint) -> TvdEvaluation:
     otherwise it is named in the AccuracyError.  So is any other nonzero
     ier, a NaN error estimate, a non-finite limit, and a density whose log
     or exp overflows at huge n.
+
+    Where the limits round together (theta below ~1.1e-16), V is estimated
+    to first order as theta lo^(n/2) e^(-lo) / Gamma(n/2), the interval
+    length times the density at lo; value 0 is returned with that estimate
+    as err_estimate if it meets the target, and AccuracyError raised if not.
     """
-    zero = TvdEvaluation(value=0.0, method=METHOD_QUADRATURE, terms_used=0, err_estimate=0.0)
     if point.theta == 0.0:
-        return zero
+        return TvdEvaluation(value=0.0, method=METHOD_QUADRATURE, terms_used=0, err_estimate=0.0)
     where = f"at n={point.n}, theta={point.theta}"
     r2 = lrt_threshold(point)
     lo = r2 / (2.0 * point.sigma1_sq)
@@ -176,13 +168,21 @@ def tvd_quadrature(point: ChannelPoint) -> TvdEvaluation:
         # density overflows, as its log's terms ~ (n/2) ln(n/2) lose every digit
         # (the density itself stays below 1e162)
         lg = math.lgamma(half)
-        if lo == hi:  # sigma1^2 rounds to sigma^2 (theta below ~1e-16)
-            return zero
+        if lo == hi:
+            estimate = point.theta * math.exp(_gamma_log_density(half, lo, _gamma_log_norm(half)))
+            if not estimate <= _QUAD_ABS_TARGET:
+                raise AccuracyError(
+                    f"quadrature limits round together {where}, where V is about "
+                    f"{estimate:.3e}, above the target {_QUAD_ABS_TARGET:.0e}"
+                )
+            return TvdEvaluation(
+                value=0.0, method=METHOD_QUADRATURE, terms_used=0, err_estimate=estimate
+            )
 
         def integrand(t: float) -> float:
             return math.exp((half - 1.0) * math.log(t) - t - lg)
 
-        value, abserr, info, ier = _bare_quad()(integrand, lo, hi, (), 1, 1e-13, 1e-12, _QUAD_LIMIT)
+        value, abserr, info, ier = _qagse(integrand, lo, hi, (), 1, 1e-13, 1e-12, _QUAD_LIMIT)
     except OverflowError:
         raise AccuracyError(f"radial density has no reliable digit {where}") from None
     if ier and ier not in _QAGSE_WARNINGS:

@@ -30,14 +30,14 @@ compiled scipy.special extensions (cython_special, _ufuncs, _ufuncs_cxx,
 _gufuncs, _special_ufuncs and _ellip_harm_2), and takes about 0.25-0.3 s
 in a fresh interpreter instead of about 0.6 s (verified on scipy 1.17.1).
 A later import scipy.special runs the full package init as usual and
-reuses those extensions.  oracles.tvd_quadrature loads QUADPACK the same
-way, from the compiled extension scipy.integrate._quadpack, which imports
-nothing but numpy (under 1 ms; scipy's Python quad wrapper,
-scipy.integrate._quadpack_py, would add the array-API layer and about
-0.2 s).  _bare_import holds a lock while the stand-in is in sys.modules
-and loads each module once, so calls from several threads see one load.
-One caveat: code elsewhere that imports the package for the first time
-while _bare_import loads from it could see the bare stand-in.
+reuses those extensions.  QUADPACK's dqagse, _qagse, which
+oracles.tvd_quadrature calls, is bound the same way from the compiled
+extension scipy.integrate._quadpack, which imports nothing but numpy
+(under 1 ms; scipy's Python quad wrapper, scipy.integrate._quadpack_py,
+would add the array-API layer and about 0.2 s).  Both loads run while
+this module is imported, under Python's import lock.  One caveat: code in
+another thread that imports scipy.special or scipy.integrate for the
+first time while import covertvd runs could see the bare stand-in.
 """
 
 from __future__ import annotations
@@ -46,15 +46,10 @@ import importlib
 import math
 import os
 import sys
-import threading
 import types
 
 from .errors import AccuracyError, DomainError
 from .types import check_int
-
-
-_bare_lock = threading.Lock()
-_bare_modules: dict[str, types.ModuleType] = {}
 
 
 def _bare_import(package: str, module: str) -> types.ModuleType:
@@ -65,38 +60,35 @@ def _bare_import(package: str, module: str) -> types.ModuleType:
     __path__, stands in for package while the module loads, so only the
     module and the siblings it imports are loaded.  Afterwards it is removed
     from sys.modules together with the package.* entries it gathered: the
-    module is kept here, and a later import of package (or of
-    package.module) imports them again and binds them as attributes of the
-    real package.  The load holds _bare_lock, and a module once loaded bare
-    is returned again, so concurrent first calls load it once.  If package
-    is already loaded, or the bare import raises ImportError, it is the
-    plain import.
+    caller keeps what it binds from the module, and a later import of
+    package (or of package.module) imports them again and binds them as
+    attributes of the real package.  If package is already loaded, or the
+    bare import raises ImportError, it is the plain import.
     """
     name = f"{package}.{module}"
-    with _bare_lock:
-        if name in _bare_modules:
-            return _bare_modules[name]
-        if package not in sys.modules:
-            parent, _, leaf = package.rpartition(".")
-            bare = types.ModuleType(package)
-            roots = importlib.import_module(parent).__path__
-            bare.__path__ = [os.path.join(p, leaf) for p in roots]
-            sys.modules[package] = bare
-            try:
-                _bare_modules[name] = importlib.import_module(name)
-                return _bare_modules[name]
-            except ImportError:
-                pass
-            finally:
-                if sys.modules.get(package) is bare:
-                    for entry in [m for m in sys.modules if m.startswith(package + ".")]:
-                        del sys.modules[entry]
-                    del sys.modules[package]
+    if package not in sys.modules:
+        parent, _, leaf = package.rpartition(".")
+        bare = types.ModuleType(package)
+        roots = importlib.import_module(parent).__path__
+        bare.__path__ = [os.path.join(p, leaf) for p in roots]
+        sys.modules[package] = bare
+        try:
+            return importlib.import_module(name)
+        except ImportError:
+            pass
+        finally:
+            if sys.modules.get(package) is bare:
+                for entry in [m for m in sys.modules if m.startswith(package + ".")]:
+                    del sys.modules[entry]
+                del sys.modules[package]
     return importlib.import_module(name)
 
 
 _cs = _bare_import("scipy.special", "cython_special")
 gammainc, gammaincc, ndtri = _cs.gammainc, _cs.gammaincc, _cs.ndtri
+# _qagse(func, a, b, args, full_output, epsabs, epsrel, limit) returns
+# (value, abserr, infodict, ier)
+_qagse = _bare_import("scipy.integrate", "_quadpack")._qagse
 
 _SQRT2 = math.sqrt(2.0)
 

@@ -217,7 +217,6 @@ def achievability_na(
     P: float,
     mu: float,
     tau0: float,
-    enforce_be_guard: bool = False,
 ) -> ThroughputReport:
     """Normal-approximation achievability for shell-constrained Gaussian
     codebooks:
@@ -227,21 +226,13 @@ def achievability_na(
     with C_mu, V_mu evaluated at mu P and Delta the codeword-shell mass.
     The Berry-Esseen margin 2 B_mu / sqrt(n) (at R = mu P) is the bound's
     formal validity guard; it is far above practical eps at covert power
-    scales, so it is enforced only when enforce_be_guard is set and is
-    always available via be_margin().
+    scales, so it is not enforced here: be_margin() evaluates it.
     """
     n = _check_common(n, eps)
     _check_power(P)
     _check_mu(mu)
     if not (math.isfinite(tau0) and 0.0 < tau0 < eps):
         raise DomainError(f"tau0 must lie in (0, eps), got {tau0!r}")
-    if enforce_be_guard:
-        margin = be_margin(n, P, mu)
-        if margin >= eps:
-            raise RegimeError(
-                f"Berry-Esseen margin {margin:.3g} >= eps={eps}; "
-                "normal approximation not certified at this blocklength"
-            )
     delta_mass = truncation_mass(n, mu)
     if delta_mass <= 0.0:
         raise DomainError(f"codeword shell has vanishing mass at n={n}, mu={mu}")

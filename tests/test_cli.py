@@ -177,6 +177,31 @@ class TestHugeBlocklengthDensity:
         assert (row["method"], row["value"], row["err_estimate"]) == ("series-low-tau", "1", "0")
 
 
+class TestQuadratureLimitsRoundTogether:
+    # theta = 1e-17 rounds sigma1^2 onto sigma^2, so both quadrature limits
+    # are one double; V ~ erf(sqrt(n) theta / 4) is then known to first order
+    def test_estimate_within_target_is_err_estimate(self, capsys):
+        # this printed err_estimate 0
+        code, out, err = run_cli(capsys, "tvd", "--n", "1000", "--theta", "1e-17",
+                                 "--method", "quadrature", "--format", "json")
+        assert code == EXIT_OK, err
+        row = json.loads(out)[0]
+        assert (row["value"], row["terms_used"]) == (0.0, 0)
+        assert row["err_estimate"] == pytest.approx(math.erf(math.sqrt(1000) * 1e-17 / 4),
+                                                    rel=1e-3)
+
+    @pytest.mark.parametrize("n", (10**20, 10**32))
+    def test_estimate_above_target_exits_accuracy(self, capsys, n):
+        # this printed V = 0 with err_estimate 0, where V ~ 2.8e-8 and 0.028
+        code, out, err = run_cli(capsys, "tvd", "--n", str(n), "--theta", "1e-17",
+                                 "--method", "quadrature")
+        assert code == EXIT_ACCURACY, err
+        assert out == ""
+        assert "round together" in err
+        # the first-order term of the erf law
+        assert f"V is about {math.sqrt(n / math.pi) * 1e-17 / 2:.3e}" in err
+
+
 def test_import_footprint(run_python, tmp_path):
     # no subcommand loads scipy.integrate's package init, scipy.optimize,
     # scipy.linalg, scipy.sparse, the full scipy.special or scipy's array-API

@@ -4,6 +4,7 @@ against the exact distance."""
 import dataclasses
 import math
 
+import mpmath
 import pytest
 
 from covertvd.divergences import (
@@ -55,6 +56,17 @@ class TestKlDivergences:
         _, rev = kl_divergences(ChannelPoint(n=n, theta=theta), units="nats")
         ratio = rev / (0.25 * n * theta * theta)
         assert 0.9 <= ratio <= 1.0
+
+    def test_reverse_matches_mpmath(self):
+        # ln(1+theta) - theta/(1+theta) cancels as theta -> 0; 650 digits
+        # resolve it down to theta = 1e-150
+        for k in range(-300, 601):
+            theta = 10.0 ** (k / 2)
+            _, rev = kl_divergences(ChannelPoint(n=2, theta=theta), units="nats")
+            with mpmath.workdps(650):
+                t = mpmath.mpf(theta)
+                ref = mpmath.log1p(t) - t / (1 + t)
+                assert abs(rev - ref) <= 1e-15 * ref, theta
 
 
 class TestHellinger:

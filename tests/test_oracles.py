@@ -211,7 +211,7 @@ class TestTvdQuadrature:
     def fake_qagse(monkeypatch, *result):
         # _qagse(func, a, b, args, full_output, epsabs, epsrel, limit) returns
         # (value, abserr, infodict, ier)
-        monkeypatch.setattr(oracles, "_bare_quad", lambda: lambda *args: result)
+        monkeypatch.setattr(oracles, "_qagse", lambda *args: result)
 
     def test_quad_warning_within_target_is_accepted(self, monkeypatch):
         for ier in (1, 2, 3, 4, 5):
@@ -266,10 +266,10 @@ def test_package_import_leaves_scipy_integrate_unloaded(run_python):
 
 
 class TestBareQuadLoad:
-    """tvd_quadrature takes QUADPACK's dqagse from the compiled extension
-    scipy.integrate._quadpack, without running scipy.integrate's package init
-    or loading scipy's Python quad wrapper, and leaves scipy.integrate
-    importable as usual."""
+    """tvd_quadrature calls QUADPACK's dqagse, bound at import from the
+    compiled extension scipy.integrate._quadpack, without running
+    scipy.integrate's package init or loading scipy's Python quad wrapper,
+    and leaves scipy.integrate importable as usual."""
 
     def test_package_init_not_run(self, run_python):
         run_python("""
@@ -286,10 +286,11 @@ class TestBareQuadLoad:
             sys.meta_path.insert(0, Requests())
             from covertvd import oracles
             from covertvd.types import ChannelPoint
+            assert Requests.names.count("scipy.integrate._quadpack") == 1
             for _ in range(2):
                 ev = oracles.tvd_quadrature(ChannelPoint(n=2, theta=1.0))
                 assert abs(ev.value - 0.25) <= 1e-10
-            assert "scipy.integrate._quadpack" in Requests.names
+            assert Requests.names.count("scipy.integrate._quadpack") == 1
             for name in ("scipy.integrate", "scipy.integrate._quadpack_py"):
                 assert name not in Requests.names, name
             assert not any(m == "scipy.integrate" or m.startswith("scipy.integrate.")
@@ -297,7 +298,6 @@ class TestBareQuadLoad:
             for name in ("scipy.optimize", "scipy.linalg", "scipy.sparse", "scipy._lib._array_api",
                          "numpy.f2py", "numpy.testing"):
                 assert name not in sys.modules, name
-            assert oracles._bare_quad.cache_info().misses == 1
         """)
 
     def test_scipy_integrate_loads_afterwards(self, run_python):
@@ -307,14 +307,13 @@ class TestBareQuadLoad:
             from covertvd.types import ChannelPoint
             point = ChannelPoint.from_tau(1000, 0.3)
             ev = oracles.tvd_quadrature(point)
-            qagse = oracles._bare_quad()
             import scipy.integrate
             assert scipy.integrate.__file__.endswith("__init__.py")
             # quad's call for finite, ordered limits is this positional _qagse call
             for f, lo, hi in ((math.exp, 0.0, 1.0), (lambda t: t ** 9 * math.exp(-t), 1.0, 40.0),
                               (lambda t: t ** -0.5, 1e-300, 2.0),
                               (lambda t: abs(math.sin(1.0 / t)), 1e-9, 1.0)):  # ier = 1
-                value, abserr, info, ier = qagse(f, lo, hi, (), 1, 1e-13, 1e-12, 300)
+                value, abserr, info, ier = oracles._qagse(f, lo, hi, (), 1, 1e-13, 1e-12, 300)
                 b = scipy.integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=300,
                                          full_output=1)
                 assert (value, abserr, info["neval"]) == (b[0], b[1], b[2]["neval"])
@@ -326,36 +325,52 @@ class TestBareQuadLoad:
         """)
 
     def test_concurrent_first_calls(self, run_python):
-        # the first call loads QUADPACK with a stand-in for scipy.integrate in
-        # sys.modules; threads arriving meanwhile wait for that one load
-        # instead of finding the stand-in
+        # threads that make the first import of covertvd at once wait on
+        # Python's import lock for the one import that binds _qagse, instead
+        # of finding the bare scipy.integrate stand-in
         run_python("""
+            import sys
             import threading
-            from covertvd import oracles, special
-            from covertvd.tvd import tvd_exact
-            from covertvd.types import ChannelPoint
-            points = [ChannelPoint.from_tau(n, tau) for n in (100, 1000) for tau in (0.3, 0.5, 0.8)]
-            start = threading.Barrier(len(points))
+
+            class Requests:
+                names = []
+
+                def find_spec(self, name, path=None, target=None):
+                    self.names.append(name)
+                    return None
+
+            sys.meta_path.insert(0, Requests())
+            taus = (0.2, 0.4, 0.6, 0.8)
+            start = threading.Barrier(8)
             results, errors = {}, []
 
-            def run(point):
+            def run(n, tau):
                 start.wait()
                 try:
-                    results[point] = oracles.tvd_quadrature(point)
+                    from covertvd import oracles
+                    from covertvd.types import ChannelPoint
+                    results[n, tau] = oracles.tvd_quadrature(ChannelPoint.from_tau(n, tau))
                 except Exception as exc:
                     errors.append(repr(exc))
 
-            threads = [threading.Thread(target=run, args=(p,)) for p in points]
+            threads = [threading.Thread(target=run, args=(n, tau))
+                       for n in (100, 1000) for tau in taus]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join()
             assert not errors, errors
-            for point in points:
-                assert results[point] == oracles.tvd_quadrature(point)
-                assert abs(results[point].value - tvd_exact(point).value) <= 1e-8
-            assert list(special._bare_modules) == ["scipy.special.cython_special",
-                                                   "scipy.integrate._quadpack"]
+            from covertvd import oracles
+            from covertvd.tvd import tvd_exact
+            from covertvd.types import ChannelPoint
+            assert len(results) == 8
+            for (n, tau), ev in results.items():
+                point = ChannelPoint.from_tau(n, tau)
+                assert ev == oracles.tvd_quadrature(point)
+                assert abs(ev.value - tvd_exact(point).value) <= 1e-8
+            assert Requests.names.count("scipy.integrate._quadpack") == 1
+            assert not any(m == "scipy.integrate" or m.startswith("scipy.integrate.")
+                           for m in sys.modules)
         """)
 
     def test_failed_bare_import_falls_back(self, run_python):
@@ -377,5 +392,5 @@ class TestBareQuadLoad:
             assert abs(ev.value - 0.25) <= 1e-10
             import scipy.integrate
             assert scipy.integrate.__file__.endswith("__init__.py")
-            assert oracles._bare_quad() is scipy.integrate._quadpack._qagse
+            assert oracles._qagse is scipy.integrate._quadpack._qagse
         """)

@@ -223,24 +223,11 @@ class TestAchievabilityNa:
         rep = achievability_na(n, eps, P, mu, tau0)
         assert rep.bits == pytest.approx(ref, rel=1e-12)
 
-    def test_be_guard_optional_and_enforceable(self):
+    def test_be_guard_not_enforced(self):
         # the margin dwarfs eps at this scale; the formula still evaluates
         rep = achievability_na(2000, 1e-3, 0.0224, 0.8, 1e-4)
         assert math.isfinite(rep.bits)
-        with pytest.raises(RegimeError):
-            achievability_na(2000, 1e-3, 0.0224, 0.8, 1e-4, enforce_be_guard=True)
-
-    def test_be_guard_evaluates_margin_once(self, monkeypatch):
-        calls = []
-
-        def counting_margin(n, P, mu):
-            calls.append((n, P, mu))
-            return be_margin(n, P, mu)
-
-        monkeypatch.setattr(covertvd.throughput, "be_margin", counting_margin)
-        with pytest.raises(RegimeError, match="Berry-Esseen margin"):
-            achievability_na(2000, 1e-3, 0.0224, 0.8, 1e-4, enforce_be_guard=True)
-        assert calls == [(2000, 0.0224, 0.8)]
+        assert be_margin(2000, 0.0224, 0.8) >= 1e-3
 
     def test_tau0_domain(self):
         with pytest.raises(DomainError):
