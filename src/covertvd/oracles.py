@@ -2,16 +2,16 @@
 path: adaptive quadrature of the radial density-difference integral, and a
 seeded likelihood-ratio-test simulator verifying TVD = 1 - (alpha + beta).
 
-The quadrature is QUADPACK's dqagse (Piessens et al., QUADPACK, 1983),
-called directly as _qagse from scipy's compiled extension
-scipy.integrate._quadpack, the routine scipy's quad runs for finite
-limits.  special binds it at import, without
-scipy/integrate/__init__.py (which imports the ODE, BVP and cubature
-solvers and so scipy.optimize, scipy.linalg, scipy.sparse and the full
-scipy.special) and without the Python module scipy.integrate._quadpack_py
-behind quad (which imports scipy's array-API layer, numpy.f2py and
-numpy.testing).  With the same positional arguments quad passes, value,
-error estimate and evaluation count are quad's bit for bit.
+The quadrature integrates special's scaled Gamma(n/2) density over the
+kernel's own (g, f), clipped to the peak (tvd_quadrature): within 4.3e-14
+of tvd_exact at 3000 seeded points with n <= 1e6, and within its
+err_estimate of 30-digit mpmath at 96 seeded points with n <= 1e7.  It
+calls QUADPACK's dqagse (Piessens et al., QUADPACK, 1983) as _qagse, the
+routine scipy's quad runs for finite limits, bound by special from the
+compiled extension scipy.integrate._quadpack without scipy.integrate's
+package init or quad's Python wrapper.  With the same positional
+arguments quad passes, value, error estimate and evaluation count are
+quad's bit for bit.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError
 from .special import _gamma_log_density, _gamma_log_norm, _qagse
+from .tvd import _fg
 from .types import METHOD_MONTE_CARLO, METHOD_QUADRATURE, ChannelPoint, TvdEvaluation, check_int
 
 _QUAD_ABS_TARGET = 1e-10
@@ -139,15 +140,16 @@ def tvd_monte_carlo(point: ChannelPoint, m: int, seed: int) -> TvdEvaluation:
 def tvd_quadrature(point: ChannelPoint) -> TvdEvaluation:
     """TVD by adaptive quadrature of the radial integral.
 
-    Integrates the log-stable chi-square-shell density
-    exp((n/2 - 1) ln t - t - lnGamma(n/2)) between the two scaled
-    thresholds R^2/(2 sigma1^2) and R^2/(2 sigma^2); this is the density
-    difference integral after the radial substitution, evaluated on a path
-    fully independent of the incomplete-gamma baseline.  A dqagse warning
-    (ier 1-5) is tolerated as long as the error estimate meets the target;
-    otherwise it is named in the AccuracyError.  So is any other nonzero
-    ier, a NaN error estimate, a non-finite limit, and a density whose log
-    or exp overflows at huge n.
+    Integrates the Gamma(n/2) density e^(-t) t^(n/2) / (t Gamma(n/2)),
+    special._gamma_log_density, over the pair (g, f) = tvd._fg(n, theta)
+    clipped to n/2 -+ 40 sqrt(n/2) (+ 40 above): that drops under 1e-31 of
+    the mass but keeps QUADPACK's nodes on a peak far narrower than [g, f].
+    The nodes round to the ulp of the upper limit, which moves the density
+    by about ulp/sqrt(n/2) relative, unseen by QUADPACK; that term is added
+    to its error estimate, which so misses the target from n = 2^40 on.  A
+    dqagse warning (ier 1-5) is tolerated as long as the error estimate
+    meets the target; otherwise it is named in the AccuracyError.  So is
+    any other nonzero ier, a NaN error estimate and a non-finite limit.
 
     Where the limits round together (theta below ~1.1e-16), V is estimated
     to first order as theta lo^(n/2) e^(-lo) / Gamma(n/2), the interval
@@ -157,36 +159,31 @@ def tvd_quadrature(point: ChannelPoint) -> TvdEvaluation:
     if point.theta == 0.0:
         return TvdEvaluation(value=0.0, method=METHOD_QUADRATURE, terms_used=0, err_estimate=0.0)
     where = f"at n={point.n}, theta={point.theta}"
-    r2 = lrt_threshold(point)
-    lo = r2 / (2.0 * point.sigma1_sq)
-    hi = r2 / (2.0 * point.sigma2)
+    hi, lo = _fg(point.n, point.theta)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise AccuracyError(f"quadrature limits [{lo!r}, {hi!r}] are not finite {where}")
     half = 0.5 * point.n
-    try:
-        # lgamma overflows from n ~ 5e305 on; from n ~ 1e18 on the exp of the
-        # density overflows, as its log's terms ~ (n/2) ln(n/2) lose every digit
-        # (the density itself stays below 1e162)
-        lg = math.lgamma(half)
-        if lo == hi:
-            estimate = point.theta * math.exp(_gamma_log_density(half, lo, _gamma_log_norm(half)))
-            if not estimate <= _QUAD_ABS_TARGET:
-                raise AccuracyError(
-                    f"quadrature limits round together {where}, where V is about "
-                    f"{estimate:.3e}, above the target {_QUAD_ABS_TARGET:.0e}"
-                )
-            return TvdEvaluation(
-                value=0.0, method=METHOD_QUADRATURE, terms_used=0, err_estimate=estimate
+    log_norm = _gamma_log_norm(half)
+    if lo == hi:
+        estimate = point.theta * math.exp(_gamma_log_density(half, lo, log_norm))
+        if not estimate <= _QUAD_ABS_TARGET:
+            raise AccuracyError(
+                f"quadrature limits round together {where}, where V is about "
+                f"{estimate:.3e}, above the target {_QUAD_ABS_TARGET:.0e}"
             )
+        return TvdEvaluation(
+            value=0.0, method=METHOD_QUADRATURE, terms_used=0, err_estimate=estimate
+        )
+    width = 40.0 * math.sqrt(half)
+    lo, hi = max(lo, half - width), min(hi, half + width + 40.0)
 
-        def integrand(t: float) -> float:
-            return math.exp((half - 1.0) * math.log(t) - t - lg)
+    def integrand(t: float) -> float:
+        return math.exp(_gamma_log_density(half, t, log_norm)) / t
 
-        value, abserr, info, ier = _qagse(integrand, lo, hi, (), 1, 1e-13, 1e-12, _QUAD_LIMIT)
-    except OverflowError:
-        raise AccuracyError(f"radial density has no reliable digit {where}") from None
+    value, abserr, info, ier = _qagse(integrand, lo, hi, (), 1, 1e-13, 1e-12, _QUAD_LIMIT)
     if ier and ier not in _QAGSE_WARNINGS:
         raise AccuracyError(f"quadrature failed with QUADPACK code ier={ier} {where}")
+    abserr += math.ulp(hi) / math.sqrt(half)
     if not abserr <= _QUAD_ABS_TARGET:
         warning = f": {_QAGSE_WARNINGS[ier]}" if ier else ""
         raise AccuracyError(

@@ -127,8 +127,9 @@ class TestSeriesTermOverflow:
 
 
 class TestHugeBlocklengthDensity:
-    # the quadrature's log of the Gamma(n/2) density has no reliable digit
-    # here, and its exp overflows
+    # the quadrature's nodes round to the ulp of n/2, which moves the
+    # Gamma(n/2) density by about ulp/sqrt(n/2) relative: 9e-8 and 1.2e-6
+    # here, above the target (the old lgamma form's exp overflowed)
     @pytest.mark.parametrize("argv", [
         ("--n", str(10**18), "--tau", "0.5", "--method", "quadrature"),
         ("--n", str(10**20), "--tau", "0.3", "--method", "quadrature"),
@@ -136,14 +137,15 @@ class TestHugeBlocklengthDensity:
     def test_tvd_exits_accuracy(self, capsys, argv):
         code, _, err = run_cli(capsys, "tvd", *argv)
         assert code == EXIT_ACCURACY, err
-        assert "no reliable digit" in err
+        assert "exceeds target 1e-10" in err
 
     def test_lgamma_overflow_exits_accuracy(self, capsys):
-        # lgamma(n/2) itself overflows; this was a traceback
+        # lgamma(n/2) overflows here (a traceback once); the quadrature no
+        # longer calls it, and theta = 1e-153 rounds its limits together
         code, _, err = run_cli(capsys, "tvd", "--n", str(10**306), "--tau", "0.5",
                                "--method", "quadrature")
         assert code == EXIT_ACCURACY, err
-        assert "no reliable digit" in err
+        assert "round together" in err
 
     @pytest.mark.parametrize("argv, point", [
         (("--n", str(10**18), "--tau", "0.45"), ChannelPoint.from_tau(10**18, 0.45)),
@@ -177,8 +179,23 @@ class TestHugeBlocklengthDensity:
         assert (row["method"], row["value"], row["err_estimate"]) == ("series-low-tau", "1", "0")
 
 
+class TestQuadraturePeakInsideWideLimits:
+    # V = 1, with a Gamma(n/2) peak of width sqrt(n/2) far narrower than
+    # [g, f]: every QUADPACK node missed it, and the value printed was 0 or
+    # 5.6e-17 with err_estimate 0 and exit 0
+    @pytest.mark.parametrize("n, tau", [(10**8, 0.05), (10**9, 0.1)])
+    def test_value_within_err_estimate(self, capsys, n, tau):
+        code, out, err = run_cli(capsys, "tvd", "--n", str(n), "--tau", str(tau),
+                                 "--method", "quadrature", "--format", "json")
+        assert code == EXIT_OK, err
+        row = json.loads(out)[0]
+        assert 0.0 < row["err_estimate"] <= 1e-10
+        exact = tvd_exact(ChannelPoint.from_tau(n, tau)).value
+        assert abs(row["value"] - exact) <= row["err_estimate"]
+
+
 class TestQuadratureLimitsRoundTogether:
-    # theta = 1e-17 rounds sigma1^2 onto sigma^2, so both quadrature limits
+    # at theta = 1e-17, f and g both round to n/2, so both quadrature limits
     # are one double; V ~ erf(sqrt(n) theta / 4) is then known to first order
     def test_estimate_within_target_is_err_estimate(self, capsys):
         # this printed err_estimate 0

@@ -2,6 +2,7 @@
 evaluation path."""
 
 import math
+import random
 import statistics
 
 import numpy as np
@@ -200,7 +201,26 @@ class TestTvdQuadrature:
     @pytest.mark.parametrize("tau", (0.3, 0.5, 0.8))
     def test_agrees_with_exact_path(self, n, tau):
         point = ChannelPoint.from_tau(n, tau)
-        assert abs(tvd_quadrature(point).value - tvd_exact(point).value) <= 1e-8
+        assert abs(tvd_quadrature(point).value - tvd_exact(point).value) <= 1e-12
+
+    def test_err_estimate_holds_against_mpmath(self):
+        # V(g, f) = P(n/2, f) - P(n/2, g) as a 30-digit integral of the
+        # lgamma-form density, split every 4 sqrt(n/2) around the peak
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(96)
+        with mp.workdps(30):
+            for _ in range(48):
+                n, tau = round(10 ** rng.uniform(0, 7)), rng.uniform(0.02, 0.99)
+                point = ChannelPoint.from_tau(n, tau)
+                pair = fg(point)
+                a, s = mp.mpf(n) / 2, math.sqrt(n / 2)
+                lg = mp.loggamma(a)
+                cuts = [pair.g, *(n / 2 + k * s for k in range(-40, 41, 4)
+                                  if pair.g < n / 2 + k * s < pair.f), pair.f]
+                ref = mp.quad(lambda t: mp.exp((a - 1) * mp.log(t) - t - lg),
+                              [mp.mpf(c) for c in cuts])
+                ev = tvd_quadrature(point)
+                assert abs(ev.value - ref) <= ev.err_estimate, (n, tau)
 
     def test_error_estimate_reported(self):
         ev = tvd_quadrature(ChannelPoint(n=500, theta=0.05))
@@ -222,9 +242,11 @@ class TestTvdQuadrature:
 
     @pytest.mark.parametrize("n, tau", ((10**18, 0.5), (10**20, 0.3), (10**306, 0.5)))
     def test_density_overflow_is_accuracy_error(self, n, tau):
-        # rounding of the log density's ~(n/2) ln(n/2) terms overflows its
-        # exp; at n = 1e306 lgamma(n/2) itself overflows
-        with pytest.raises(AccuracyError, match="no reliable digit"):
+        # the old lgamma-form density overflowed at all three points; now
+        # rounding the nodes to the ulp of n/2 misses the target at the first
+        # two, and the limits round together at the third
+        reason = "round together" if n > 10**300 else "exceeds target"
+        with pytest.raises(AccuracyError, match=reason):
             tvd_quadrature(ChannelPoint.from_tau(n, tau))
 
     def test_quad_warning_reported_in_accuracy_error(self, monkeypatch):
@@ -245,14 +267,14 @@ class TestTvdQuadrature:
             tvd_quadrature(ChannelPoint(n=500, theta=0.05))
 
     def test_non_finite_limits_never_reach_quadpack(self, monkeypatch):
-        # n sigma^2 overflows, so R^2 and both limits are infinite
+        # f = (n/2)(1 + theta) ln(1 + theta)/theta passes the double range
         self.fake_qagse(monkeypatch, 0.125, 1e-12, {"neval": 21}, 0)
         with pytest.raises(AccuracyError, match="not finite"):
-            tvd_quadrature(ChannelPoint(n=10**308, sigma2=10.0, theta=1.0))
+            tvd_quadrature(ChannelPoint(n=int(1.7e308), theta=1e300))
 
     @pytest.mark.parametrize("theta", (1e307, 1e308))
     def test_huge_snr_saturates(self, theta):
-        # R^2 is regrouped where n sigma^2 (1 + theta) overflows; V = 1 - O(1e-153)
+        # f is regrouped where (n/2)(1 + theta) overflows; V = 1 - O(1e-153)
         ev = tvd_quadrature(ChannelPoint(n=1, theta=theta))
         assert 0.0 <= ev.err_estimate <= 1e-10
         assert abs(ev.value - 1.0) <= ev.err_estimate
