@@ -32,6 +32,7 @@ from .throughput import (
 from .tvd import FgPair, fg, tvd_complement, tvd_exact, tvd_series
 from .types import ChannelPoint, TvdEvaluation
 
+# the one source of the version: pyproject.toml and `covertvd --version` read it
 __version__ = "0.1.0"
 
 __all__ = [

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import asymptotics, divergences, oracles, power, throughput, tvd
+from . import __version__, asymptotics, divergences, oracles, power, throughput, tvd
 from .errors import AccuracyError, ConsistencyError, DomainError, FitError, OrderError, RegimeError
 from .types import ChannelPoint
 
@@ -244,6 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Total variation distance, covert power levels and throughput bounds "
                     "for Gaussian channels at finite blocklength.",
     )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tvd", help="distance at one channel point")

@@ -39,7 +39,9 @@ class ThroughputReport:
     term_first carries the capacity-scale part, term_second the (signed)
     dispersion part, term_logn everything sub-dispersion (the log-n
     residual plus any tau0 / shell-mass / remainder corrections).  The
-    residuals field records the dropped-constant policy.
+    residuals field records the dropped-constant policy.  r_star is the
+    shell rate point the achievability-full search chose, None for the
+    other kinds.
     """
 
     bits: float
@@ -49,9 +51,12 @@ class ThroughputReport:
     eps: float
     kind: str
     residuals: str = RESIDUAL_POLICY
+    r_star: float | None = None
 
 
-def _report(kind: str, eps: float, first: float, second: float, logn: float) -> ThroughputReport:
+def _report(
+    kind: str, eps: float, first: float, second: float, logn: float, r_star: float | None = None
+) -> ThroughputReport:
     return ThroughputReport(
         bits=first + second + logn,
         term_first=first,
@@ -59,6 +64,7 @@ def _report(kind: str, eps: float, first: float, second: float, logn: float) -> 
         term_logn=logn,
         eps=eps,
         kind=kind,
+        r_star=r_star,
     )
 
 
@@ -275,11 +281,27 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def achievability_full(n: int, eps: float, P: float, mu: float) -> ThroughputReport:
-    """Full shell-codebook achievability bound: golden-section maximization
-    of the rate point R in [mu^2 P, P], plus log2(tau0) at the largest
-    point of the 50-point log grid geomspace(1e-6 eps, eps, 51)[:-1].  The
-    bound increases with tau0, so that point, tau0 = eps 10^(-6/50), is
-    the grid maximum and enters in closed form.
+    """Full shell-codebook achievability bound: maximization over the rate
+    point R in [mu^2 P, P], plus log2(tau0) at the largest point of the
+    50-point log grid geomspace(1e-6 eps, eps, 51)[:-1].  The bound
+    increases with tau0, so that point, tau0 = eps 10^(-6/50), is the grid
+    maximum and enters in closed form.
+
+    The search places the golden-section pair of probes, then tests the end
+    of the interval they point to: if the bound there is at least its value
+    h = 1e-12 P inside that end and at the better probe, the maximiser is
+    taken to lie within h of the end, and the final bracket is that h-wide
+    interval.  Otherwise, and where the bound is vacuous at the end, the
+    golden-section search runs to a bracket of width 1e-12 P: the bound is
+    not unimodal everywhere, and has maxima inside or at R = mu^2 P at
+    small P.  r_star, the bracket's midpoint, is on the report.
+
+    A solve takes 5 third-moment evaluations when the end passes, 60-63
+    when the search runs (57-59 for the search alone).  The end passed at
+    every seeded input with n in [1e5, 1e6], eps in [0.12, 0.25], P in
+    [1e-3, 1] and mu in [0.8, 0.95], and at 99% of the non-vacuous ones
+    with n in [10, 1e9], eps in [1e-3, 0.6], P in [1e-8, 1e3] and mu in
+    [0.02, 0.99].
 
     Raises RegimeError when the Berry-Esseen margin reaches eps, where the
     bound's Q^{-1} argument leaves (0, 1) and the bound is vacuous.
@@ -301,22 +323,33 @@ def achievability_full(n: int, eps: float, P: float, mu: float) -> ThroughputRep
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = objective(x1), objective(x2)
-    for _ in range(80):
-        if hi - lo <= 1e-12 * P:
-            break
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = objective(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = objective(x1)
+    h = 1e-12 * P
+    end, inner, best = (hi, hi - h, f2) if f1 < f2 else (lo, lo + h, f1)
+    try:
+        f_end = objective(end)
+        at_end = f_end >= best and f_end >= objective(inner)
+    except (RegimeError, DomainError):
+        # vacuous, or of zero dispersion, at the end: leave it to the search
+        at_end = False
+    if at_end:
+        lo, hi = sorted((inner, end))
+    else:
+        for _ in range(80):
+            if hi - lo <= h:
+                break
+            if f1 < f2:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + _GOLDEN * (hi - lo)
+                f2 = objective(x2)
+            else:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - _GOLDEN * (hi - lo)
+                f1 = objective(x1)
     r_star = 0.5 * (lo + hi)
 
     first, second, rest = _full_core(n, eps, P, mu, r_star, delta_mass)
     log_tau0 = math.log2(eps) - (6.0 / 50.0) * math.log2(10.0)
-    return _report(KIND_ACH_FULL, eps, first, second, rest + log_tau0)
+    return _report(KIND_ACH_FULL, eps, first, second, rest + log_tau0, r_star)
 
 
 def covert_throughput_bounds(n: int, eps: float, delta: float) -> tuple[ThroughputReport, ThroughputReport]:

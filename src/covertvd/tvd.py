@@ -108,8 +108,12 @@ def tvd_exact(point: ChannelPoint) -> TvdEvaluation:
 def tvd_complement(point: ChannelPoint) -> float:
     """1 - TVD computed in tail space, Q(n/2, f) + P(n/2, g).
 
-    Exact even when the distance saturates at 1 to double precision
-    (complements down to ~1e-300); the rate-fit sweeps rely on this.
+    The complement is not lost when the distance rounds to 1; the rate-fit
+    sweeps rely on this.  Its precision is that of scipy's lower incomplete
+    gamma in the lower tail, which degrades with n.  Relative error against
+    40-digit mpmath integration of the Gamma(n/2) density over the same
+    (g, f), at theta = 10/sqrt(n/2) (g about 5 sigma below n/2): 8e-16 at
+    n = 1e4, 2e-15 at 1e5, 2.3e-13 at 5e5, 4.7e-9 at 1e6 and 2.3e-6 at 2e6.
     """
     f, g = _fg(point.n, point.theta)
     half = 0.5 * point.n

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erfinv
 
+from covertvd import __version__
 from covertvd.asymptotics import default_n_grid
 from covertvd.cli import EXIT_ACCURACY, EXIT_DOMAIN, EXIT_OK, FIGURES, main
 from covertvd.errors import AccuracyError
@@ -74,6 +75,12 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["tvd", "--n", "2"])
         assert exc.value.code == 2
+
+    def test_version_exits_ok(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"covertvd {__version__}\n"
 
     def test_accuracy_exit_code_reserved(self):
         assert EXIT_ACCURACY == 4

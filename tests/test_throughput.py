@@ -11,6 +11,9 @@ from scipy.stats import chi2, norm
 import covertvd.throughput
 from covertvd.errors import DomainError, RegimeError
 from covertvd.throughput import (
+    _GOLDEN,
+    _full_core,
+    _report,
     KIND_ACH_FULL,
     KIND_ACH_NA,
     KIND_CONV_NA,
@@ -40,6 +43,84 @@ def mp_t_mu(P, R, mu):
         z2 = (B + mpmath.sqrt(B * B + 4 * C * C)) / (2 * C)
         return +mpmath.quad(lambda z: abs(c * (C + B * z - C * z * z)) ** 3 * mpmath.npdf(z),
                             [-mpmath.inf, -1 / z2, 0, z2, mpmath.inf])
+
+
+def golden_only(n, eps, P, mu):
+    """achievability_full's rate search without the end test: golden section
+    over [mu^2 P, P] to a bracket of width 1e-12 P, for a valid (n, eps, P,
+    mu).  The differential reference for the end test."""
+    delta_mass = truncation_mass(n, mu)
+
+    def objective(R):
+        return sum(_full_core(n, eps, P, mu, R, delta_mass))
+
+    lo, hi = mu * mu * P, P
+    x1 = hi - _GOLDEN * (hi - lo)
+    x2 = lo + _GOLDEN * (hi - lo)
+    f1, f2 = objective(x1), objective(x2)
+    for _ in range(80):
+        if hi - lo <= 1e-12 * P:
+            break
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN * (hi - lo)
+            f2 = objective(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN * (hi - lo)
+            f1 = objective(x1)
+    r_star = 0.5 * (lo + hi)
+    first, second, rest = _full_core(n, eps, P, mu, r_star, delta_mass)
+    log_tau0 = math.log2(eps) - (6.0 / 50.0) * math.log2(10.0)
+    return _report(KIND_ACH_FULL, eps, first, second, rest + log_tau0, r_star)
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def assert_matches_golden(case):
+    """Same exception class as the golden-only search, or bits within
+    1e-11 s and each term within 1e-10 s, s the largest term (at least 1)."""
+    new, ref = outcome(achievability_full, *case), outcome(golden_only, *case)
+    if isinstance(ref, type) or isinstance(new, type):
+        assert new == ref, case
+        return None
+    terms = ("term_first", "term_second", "term_logn")
+    s = max(1.0, *(abs(getattr(rep, t)) for rep in (new, ref) for t in terms))
+    assert abs(new.bits - ref.bits) <= 1e-11 * s, case
+    for t in terms:
+        assert abs(getattr(new, t) - getattr(ref, t)) <= 1e-10 * s, (case, t)
+    return new
+
+
+# (n, eps, P, mu) where the bound has a local maximum at R = P but its
+# maximum at R = mu^2 P: testing R = P alone would return -10.55 bits
+# there, where the search finds -7.43
+TWO_MAXIMA = (536932, 0.026747120549507047, 2.1453201257168092e-05, 0.13370339966392422)
+# a local maximum at R = P, where the first probes point, and the maximum
+# about half way from mu^2 P to P: the end passes the test against the
+# point 1e-12 P inside it and fails the one against the better probe
+LOCAL_MAX_AT_P = (48131720, 0.025027961197732315, 2.8068810903108193e-08, 0.2821205553189227)
+# the first probes point to R = P, where the bound is vacuous (RegimeError)
+# although it is defined at the probes and at its maximum inside
+VACUOUS_AT_P = (479284, 0.02766641713929001, 0.0001756017530890654, 0.36038317410707466)
+
+
+def count_moments(monkeypatch):
+    counts = {"_t_mu": 0, "_check_power": 0}
+    for name in counts:
+        original = getattr(covertvd.throughput, name)
+
+        def counting(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(covertvd.throughput, name, counting)
+    return counts
 
 
 class TestConverseNa:
@@ -265,23 +346,71 @@ class TestAchievabilityFull:
         assert achievability_full(*case).bits == pytest.approx(float.fromhex(bits), rel=1e-12)
 
     @pytest.mark.parametrize("case, calls", [
-        ((100000, 0.2, 0.01, 0.9), 57),
-        ((50000, 0.1, 0.0224, 0.8), 59),
+        ((100000, 0.2, 0.01, 0.9), 5),
+        ((50000, 0.1, 0.0224, 0.8), 5),
     ])
     def test_search_iterates_and_checks(self, monkeypatch, case, calls):
-        # one moment per golden-section objective call plus the final point,
-        # as with the former quadrature; (P, mu) are checked once per call
-        counts = {"_t_mu": 0, "_check_power": 0}
-        for name in counts:
-            original = getattr(covertvd.throughput, name)
-
-            def counting(*args, name=name, original=original):
-                counts[name] += 1
-                return original(*args)
-
-            monkeypatch.setattr(covertvd.throughput, name, counting)
+        # one moment per objective call: the two golden-section probes, the
+        # end and the point 1e-12 P inside it, then the final point; (P, mu)
+        # are checked once per call
+        counts = count_moments(monkeypatch)
         achievability_full(*case)
         assert counts == {"_t_mu": calls, "_check_power": 1}
+
+    @pytest.mark.parametrize("case", (
+        (100000, 0.2, 0.01, 0.9), (200000, 0.2, 0.05, 0.9), (50000, 0.1, 0.0224, 0.8),
+    ))
+    def test_r_star_at_the_top_end(self, case):
+        P = case[2]
+        r_star = achievability_full(*case).r_star
+        assert P - 1e-12 * P <= r_star < P
+
+    def test_r_star_at_the_lower_end_past_a_local_maximum_at_p(self):
+        _, _, P, mu = TWO_MAXIMA
+        rep = assert_matches_golden(TWO_MAXIMA)
+        assert rep.bits == pytest.approx(-7.43, abs=5e-3)
+        assert mu * mu * P < rep.r_star <= mu * mu * P + 1e-12 * P
+
+    def test_interior_maximum_past_a_local_maximum_at_p(self, monkeypatch):
+        _, _, P, mu = LOCAL_MAX_AT_P
+        counts = count_moments(monkeypatch)
+        rep = assert_matches_golden(LOCAL_MAX_AT_P)
+        assert rep.bits == pytest.approx(-6.5301, abs=1e-4)
+        lo = mu * mu * P
+        assert 0.4 < (rep.r_star - lo) / (P - lo) < 0.6
+        # the golden-section search ran
+        assert counts["_t_mu"] > 50
+
+    def test_vacuous_end_falls_back_to_the_search(self):
+        _, _, P, mu = VACUOUS_AT_P
+        with pytest.raises(RegimeError):
+            _full_core(*VACUOUS_AT_P, P, truncation_mass(VACUOUS_AT_P[0], mu))
+        rep = assert_matches_golden(VACUOUS_AT_P)
+        assert rep.bits == pytest.approx(-14.246, abs=1e-3)
+        assert mu * mu * P < rep.r_star < 0.9 * P
+
+    def test_r_star_only_on_achievability_full(self):
+        assert converse_na(5000, 0.01, 0.1).r_star is None
+        assert achievability_na(2000, 1e-3, 0.0224, 0.8, 1e-4).r_star is None
+        assert all(rep.r_star is None for rep in covert_throughput_bounds(2000, 1e-3, 0.1))
+
+    def test_matches_golden_section_search(self):
+        # seeded draws over n in [10, 1e9], eps in [1e-3, 0.6], P in
+        # [1e-8, 1e3] (all log-uniform) and mu in [0.02, 0.99]; about a
+        # third return, the rest are vacuous (RegimeError) on both sides
+        rng = random.Random(20261019)
+        returned = off_top = 0
+        for _ in range(3000):
+            n = round(math.exp(rng.uniform(math.log(10), math.log(1e9))))
+            eps = math.exp(rng.uniform(math.log(1e-3), math.log(0.6)))
+            P = math.exp(rng.uniform(math.log(1e-8), math.log(1e3)))
+            mu = rng.uniform(0.02, 0.99)
+            rep = assert_matches_golden((n, eps, P, mu))
+            if rep is not None:
+                returned += 1
+                off_top += P - rep.r_star > 1e-12 * P
+        # both the end test and the search fallback are exercised
+        assert returned >= 900 and off_top >= 10, (returned, off_top)
 
     def test_shell_mass_computed_once(self, monkeypatch):
         calls = []
