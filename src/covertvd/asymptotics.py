@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FitError
-from .tvd import _tvd_value, tvd_complement
-from .types import ChannelPoint, check_blocklength, check_int, check_tau
+from .tvd import _complement_value, _tvd_value
+from .types import check_blocklength, check_int, check_tau
 
 TRANSFORM_LOG_NEG_LOG = "log-neg-log-complement"
 TRANSFORM_LOG_LOG = "log-log"
@@ -55,8 +55,9 @@ def default_n_grid(n_min: int = 1000, n_max: int = 100000, points: int = 12) -> 
     check_blocklength(n_max)
     if points == 1:
         return (n_min,)
-    # float endpoints and int() per entry: exact past the int64 range too
-    grid = np.unique(np.round(np.geomspace(float(n_min), float(n_max), points)))
+    # float endpoints and int() per entry: exact past the int64 range too;
+    # sorted(set()) is np.unique without its import of numpy.ma
+    grid = sorted(set(np.round(np.geomspace(float(n_min), float(n_max), points)).tolist()))
     return tuple(int(v) for v in grid)
 
 
@@ -116,7 +117,8 @@ def fit_rate(series: ScalingSeries) -> RateFit:
         comp = [1.0 - v for v in vals]
         if any(c <= 0.0 for c in comp):
             # stored values saturated at 1.0; re-evaluate 1 - v in tail space
-            comp = [tvd_complement(ChannelPoint.from_tau(n, series.tau)) for n in ns]
+            check_tau(series.tau)
+            comp = [_complement_value(n, float(n) ** (-series.tau)) for n in _check_grid(ns)]
         if any(c <= 0.0 for c in comp):
             raise FitError("complement underflows double precision on this grid")
         # monotonicity checked on the complements, which stay resolvable

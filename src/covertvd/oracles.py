@@ -26,6 +26,9 @@ from .special import _gamma_log_density, _gamma_log_norm, _qagse
 from .tvd import _fg
 from .types import METHOD_MONTE_CARLO, METHOD_QUADRATURE, ChannelPoint, TvdEvaluation, check_int
 
+#: variates simulate_test draws and counts at a time
+_BLOCK = 8192
+
 _QUAD_ABS_TARGET = 1e-10
 _QUAD_LIMIT = 300
 
@@ -99,10 +102,13 @@ def simulate_test(
 
     Deterministic given (seed, m): the m variates come from one generator,
     PCG64(SeedSequence(seed).spawn(1)[0]), so the result is independent of
-    the host.  threshold_sq overrides the optimal R^2 (needed e.g. at
-    theta = 0, where the optimal test is degenerate and alpha_hat +
-    beta_hat = 1 exactly).  m below ~1e4 is accepted; the imprecision
-    shows up in std_err rather than as an error.
+    the host.  They are drawn and counted in consecutive blocks of
+    _BLOCK, so memory stays constant in m; the generator hands out the
+    same sequence of variates whatever the block size, so every count is
+    that of one m-long draw.  threshold_sq overrides the optimal R^2
+    (needed e.g. at theta = 0, where the optimal test is degenerate and
+    alpha_hat + beta_hat = 1 exactly).  m below ~1e4 is accepted; the
+    imprecision shows up in std_err rather than as an error.
     """
     m = check_int(m, 1, "sample count must be a positive integer")
     seed = check_int(seed, 0, "seed must be a nonnegative integer")
@@ -111,10 +117,13 @@ def simulate_test(
         raise DomainError(f"threshold must be finite and positive, got {r2!r}")
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]))
-    x = rng.chisquare(point.n, size=m)
+    sigma2, sigma1_sq = point.sigma2, point.sigma1_sq
+    false_alarms = missed = 0
     with np.errstate(over="ignore"):  # an energy past the double range is above R^2
-        false_alarms = int(np.count_nonzero(point.sigma2 * x > r2))
-        missed = int(np.count_nonzero(point.sigma1_sq * x <= r2))
+        for start in range(0, m, _BLOCK):
+            x = rng.chisquare(point.n, size=min(_BLOCK, m - start))
+            false_alarms += int(np.count_nonzero(sigma2 * x > r2))
+            missed += int(np.count_nonzero(sigma1_sq * x <= r2))
     p = (false_alarms + missed) / m  # <= 1 exactly: the events are disjoint
     return DetectionEstimate(
         alpha_hat=false_alarms / m,

@@ -29,7 +29,7 @@ from .expansions import (
     _phi_transition,
     _transition_sum,
 )
-from .special import _gamma_log_density, reg_lower_gamma, reg_upper_gamma
+from .special import _gamma_log_density, gammainc, reg_lower_gamma, reg_upper_gamma
 from .types import (
     METHOD_EXACT,
     METHOD_SERIES_HIGH,
@@ -84,8 +84,19 @@ def log_tail_weight(n: int, z: float) -> float:
 
 def _tvd_fg(half: float, f: float, g: float) -> float:
     """V = P(half, f) - P(half, g) clamped to [0, 1]: the one exact-distance
-    kernel, at half = n/2 and the pair (f, g) = _fg(n, theta)."""
-    return min(1.0, max(0.0, reg_lower_gamma(half, f) - reg_lower_gamma(half, g)))
+    kernel, at half = n/2 and the pair (f, g) = _fg(n, theta).
+
+    The caller has validated n and theta, so half is finite and positive
+    and 0 <= g <= f: the compiled gammainc is called without
+    reg_lower_gamma's argument and result checks, and one finiteness test
+    per distance stands in for them.  It fails only where f overflowed or
+    gammainc returned NaN (at shapes past about 2e305), and the checked
+    wrappers then raise the DomainError or AccuracyError of any public call.
+    """
+    v = gammainc(half, f) - gammainc(half, g)
+    if not math.isfinite(f - v):
+        v = reg_lower_gamma(half, f) - reg_lower_gamma(half, g)
+    return min(1.0, max(0.0, v))
 
 
 def _tvd_value(n: int, theta: float) -> float:
@@ -115,8 +126,14 @@ def tvd_complement(point: ChannelPoint) -> float:
     (g, f), at theta = 10/sqrt(n/2) (g about 5 sigma below n/2): 8e-16 at
     n = 1e4, 2e-15 at 1e5, 2.3e-13 at 5e5, 4.7e-9 at 1e6 and 2.3e-6 at 2e6.
     """
-    f, g = _fg(point.n, point.theta)
-    half = 0.5 * point.n
+    return _complement_value(point.n, point.theta)
+
+
+def _complement_value(n: int, theta: float) -> float:
+    """Q(n/2, f) + P(n/2, g) at an (n, theta) the caller has validated;
+    tvd_complement wraps it, and fit_rate calls it directly."""
+    f, g = _fg(n, theta)
+    half = 0.5 * n
     return reg_upper_gamma(half, f) + reg_lower_gamma(half, g)
 
 

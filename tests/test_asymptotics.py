@@ -254,3 +254,45 @@ def test_default_grid_shape():
     assert len(grid) == 12
     assert grid[0] == 1000 and grid[-1] == 100000
     assert all(b > a for a, b in zip(grid, grid[1:]))
+
+
+def unique_grid(n_min, n_max, points):
+    """Reference: default_n_grid as np.unique of the rounded geomspace."""
+    if points == 1:
+        return (n_min,)
+    grid = np.unique(np.round(np.geomspace(float(n_min), float(n_max), points)))
+    return tuple(int(v) for v in grid)
+
+
+def test_default_grid_matches_unique_reference():
+    rng = random.Random(2024)
+    cases = [(7, 7, 5), (1, 30, 40), (1, 2, 50), (1000, 1001, 12), (10**300, 10**300, 4),
+             (10**299, 10**300, 30), (1, 10**300, 200), (500, 100000, 12)]
+    for _ in range(2000):
+        n_min = int(10.0 ** rng.uniform(0.0, rng.choice((2.0, 6.0, 20.0, 300.0))))
+        n_max = n_min + int(n_min * 10.0 ** rng.uniform(-3.0, 3.0) * rng.random())
+        cases.append((n_min, n_max, rng.randint(1, 60)))
+    duplicated = 0
+    for n_min, n_max, points in cases:
+        want = unique_grid(n_min, n_max, points)
+        assert default_n_grid(n_min, n_max, points) == want, (n_min, n_max, points)
+        duplicated += len(want) < points
+    assert duplicated >= 100  # the rounding merges entries on many of these grids
+
+
+@pytest.mark.parametrize("call", [
+    "default_n_grid(500, 5000, 12)",
+    "sweep_tvd(0.7, default_n_grid())",
+    "fit_rate(sweep_tvd(0.2, default_n_grid(1000, 1000000, 12)))",
+    "assert main(['sweep', '--tau', '0.7', '--output', os.devnull]) == 0",
+])
+def test_grids_leave_numpy_ma_unloaded(run_python, call):
+    # np.unique would import all of numpy.ma; numpy 1.x imports it with numpy
+    run_python(f"""
+        import os, sys
+        from covertvd.asymptotics import default_n_grid, fit_rate, sweep_tvd
+        from covertvd.cli import main
+        eager = "numpy.ma" in sys.modules
+        {call}
+        assert eager or "numpy.ma" not in sys.modules
+    """)

@@ -4,6 +4,7 @@ evaluation path."""
 import math
 import random
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +59,21 @@ class TestLrtThreshold:
             assert r2 == plain
         else:
             assert r2 == pytest.approx(n * sigma2 * math.log1p(theta), rel=1e-14)
+
+
+def one_shot_simulate_test(point, m, seed, threshold_sq):
+    """Reference: simulate_test with all m energies drawn in one call."""
+    r2 = lrt_threshold(point) if threshold_sq is None else threshold_sq
+    child = np.random.SeedSequence(seed).spawn(1)[0]
+    x = np.random.Generator(np.random.PCG64(child)).chisquare(point.n, size=m)
+    with np.errstate(over="ignore"):
+        false_alarms = int(np.count_nonzero(point.sigma2 * x > r2))
+        missed = int(np.count_nonzero(point.sigma1_sq * x <= r2))
+    p = (false_alarms + missed) / m
+    return oracles.DetectionEstimate(
+        alpha_hat=false_alarms / m, beta_hat=missed / m, samples=m, seed=seed,
+        std_err=math.sqrt(p * (1.0 - p) / m),
+    )
 
 
 class TestSimulateTest:
@@ -165,6 +181,29 @@ class TestSimulateTest:
         r2 = lrt_threshold(point)
         assert est.alpha_hat == np.count_nonzero(point.sigma2 * x > r2) / m
         assert est.beta_hat == np.count_nonzero(point.sigma1_sq * x <= r2) / m
+
+    @pytest.mark.parametrize("m", (1, 8191, 8192, 8193, 100003))
+    @pytest.mark.parametrize("n", (1, 2, 3, 10**6))
+    @pytest.mark.parametrize("threshold", (None, "half"))
+    @pytest.mark.parametrize("theta", (0.05, 1e308))
+    def test_blocks_match_one_shot_draw(self, m, n, threshold, theta):
+        # the counts of one m-long draw, at block edges and past several
+        # blocks; at theta = 1e308, sigma1^2 X overflows to inf in some trials
+        point = ChannelPoint(n=n, sigma2=1.5, theta=theta)
+        r2 = None if threshold is None else 0.5 * lrt_threshold(point)
+        est = simulate_test(point, m=m, seed=77, threshold_sq=r2)
+        assert est == one_shot_simulate_test(point, m, 77, r2)
+
+    def test_memory_constant_in_m(self):
+        point = ChannelPoint.from_tau(54321, 0.7)
+        simulate_test(point, m=20000, seed=3)  # warm-up: first-call allocations
+        tracemalloc.start()
+        try:
+            simulate_test(point, m=2_000_000, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20  # one m-long draw would be 16 MB
 
     def test_error_events_are_disjoint(self):
         # alpha_hat + beta_hat <= 1 at any threshold, and = 1 with no
