@@ -26,19 +26,22 @@ Every prefactor e^(-z) z^(a+1) / Gamma(a+1) is exp of the scaled Gamma(a+1)
 log density special._gamma_log_density, which has no term of size a ln a,
 so it keeps its digits at every shape, huge blocklengths included.
 
-Each recurrence lives in one private generator (_c, _c_star, _phi_linear):
-coeffs_c and phi_linear collect it, and the linear-regime series draw from
-it lazily, up to the pair of terms that stops the optimal truncation.  The
-identities that cross-check the recurrences (c*_k = (-1)^k k! c_k, and the
-literal closed-form Phi_k sum) are verified by the test suite, not at run
-time.
+The series evaluators each run one loop: _gamma_series_upper advances c*_k,
+and _gamma_series_lower advances c_k and Phi_k(z - a), pair of terms by
+pair, applying the pair-envelope optimal truncation as they go, so no term
+past the pair that stops the sum is formed.  _transition_sum advances
+Phi_k(a, z), Phi_k(a, z') and the transition coefficients in one pass and
+sums the terms with one fsum.  coeffs_c, phi_linear, phi_transition and
+_transition_coeffs build the same sequences whole; the test suite sums
+them with the truncation rule written out and checks the evaluators
+against that bit for bit, together with the identities that cross-check
+the recurrences (c*_k = (-1)^k k! c_k, and the literal closed-form Phi_k
+sum).  None of these checks runs at evaluation time.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .errors import DomainError, OrderError, RegimeError
@@ -83,35 +86,6 @@ def _check_shape(a: float) -> None:
         raise DomainError(f"shape parameter must be finite and positive, got {a!r}")
 
 
-def _c(a: float, K: int) -> Iterator[float]:
-    """c_0..c_K of coeffs_c, drawn one at a time."""
-    prev, cur = 1.0, 0.0
-    yield prev
-    for k in range(1, K + 1):
-        yield cur
-        prev, cur = cur, (k * cur - a * prev) / (k + 1)
-
-
-def _c_star(a: float, K: int) -> Iterator[float]:
-    """c*_0..c*_K of coeffs_c, drawn one at a time."""
-    prev, cur = 1.0, 0.0
-    yield prev
-    for k in range(1, K + 1):
-        yield cur
-        prev, cur = cur, -k * (cur + a * prev)
-
-
-def _phi_linear(w: float, K: int) -> Iterator[float]:
-    """Phi_0..Phi_K at w = z - a != 0, drawn one at a time:
-    Phi_0 = (e^w - 1)/w, Phi_k = [e^w - k Phi_{k-1}] / w."""
-    ew = math.exp(w)
-    phi = math.expm1(w) / w
-    yield phi
-    for k in range(1, K + 1):
-        phi = (ew - k * phi) / w
-        yield phi
-
-
 def coeffs_c(a: float, K: int) -> ExpansionCoeffs:
     """Coefficients c_0..c_K and c*_0..c*_K of the linear-argument expansions.
 
@@ -123,7 +97,11 @@ def coeffs_c(a: float, K: int) -> ExpansionCoeffs:
     """
     _check_shape(a)
     _check_order(K)
-    return ExpansionCoeffs(a=a, c=tuple(_c(a, K)), c_star=tuple(_c_star(a, K)))
+    c, c_star = [1.0, 0.0], [1.0, 0.0]
+    for k in range(1, K):
+        c.append((k * c[k] - a * c[k - 1]) / (k + 1))
+        c_star.append(-k * (c_star[k] + a * c_star[k - 1]))
+    return ExpansionCoeffs(a=a, c=tuple(c[: K + 1]), c_star=tuple(c_star[: K + 1]))
 
 
 def _transition_coeffs(a: float, K: int) -> tuple[float, ...]:
@@ -148,21 +126,11 @@ def phi_linear(a: float, z: float, K: int) -> PhiSequence:
     w = z - a
     if w == 0.0:
         raise RegimeError("Phi_k(z - a) is singular at z = a; use the transition regime")
-    return PhiSequence(values=tuple(_phi_linear(w, K)), a=a, z=z)
-
-
-def _phi_transition(a: float, z: float, K: int) -> list[float]:
-    """Phi_0(a, z)..Phi_K(a, z) of phi_transition, for arguments it has
-    validated."""
-    d = z - a
-    gauss = math.exp(-d * d / (2.0 * a))
-    values = [math.sqrt(math.pi / (2.0 * a)) * erfc(d / math.sqrt(2.0 * a))]
-    if K >= 1:
-        values.append(gauss / a)
-    for k in range(2, K + 1):
-        gauss *= d / a  # now ((z-a)/a)^(k-1) e^(-(z-a)^2/2a)
-        values.append(((k - 1) * values[k - 2] + gauss) / a)
-    return values
+    ew = math.exp(w)
+    values = [math.expm1(w) / w]
+    for k in range(1, K + 1):
+        values.append((ew - k * values[-1]) / w)
+    return PhiSequence(values=tuple(values), a=a, z=z)
 
 
 def phi_transition(a: float, z: float, K: int) -> PhiSequence:
@@ -176,7 +144,15 @@ def phi_transition(a: float, z: float, K: int) -> PhiSequence:
     _check_order(K)
     if not (math.isfinite(z) and z > 0.0):
         raise DomainError(f"argument must be finite and positive, got z={z!r}")
-    return PhiSequence(values=tuple(_phi_transition(a, z, K)), a=a, z=z)
+    d = z - a
+    gauss = math.exp(-d * d / (2.0 * a))
+    values = [math.sqrt(math.pi / (2.0 * a)) * erfc(d / math.sqrt(2.0 * a))]
+    if K >= 1:
+        values.append(gauss / a)
+    for k in range(2, K + 1):
+        gauss *= d / a  # now ((z-a)/a)^(k-1) e^(-(z-a)^2/2a)
+        values.append(((k - 1) * values[k - 2] + gauss) / a)
+    return PhiSequence(values=tuple(values), a=a, z=z)
 
 
 def _prefactor(a: float, z: float) -> float:
@@ -184,70 +160,130 @@ def _prefactor(a: float, z: float) -> float:
     return math.exp(_gamma_log_density(a + 1.0, z, _gamma_log_norm(a + 1.0)))
 
 
-def _sum_optimal(terms: Iterator[float]) -> tuple[float, int]:
-    """Sum (even, odd) term pairs drawn from terms until the pair envelope
-    starts growing; no term past the first growing pair is drawn.
-
-    The linear-regime series oscillate with period two (odd terms are
-    suppressed by an extra half power of the shape), so the classical
-    smallest-magnitude-term stop is applied to the pair envelope
-    max(|t_2m|, |t_2m+1|) rather than to raw terms; the last pair may be a
-    lone term.  Returns (partial sum, number of terms included).
-    """
-    total, used, prev = 0.0, 0, math.inf
-    for even in terms:
-        odd = next(terms, None)
-        pair = (even,) if odd is None else (even, odd)
-        env = max(map(abs, pair))
-        if env != 0.0:
-            if env > prev:
-                break
-            prev = env
-        total += math.fsum(pair)
-        used += len(pair)
-    return total, used
-
-
-def _upper_terms(a: float, z: float, K: int) -> Iterator[float]:
-    """Upper-series terms c*_k / (z - a)^(k+1), k = 0..K, drawn one at a time."""
-    d = z - a
-    for k, cs in enumerate(_c_star(a, K)):
-        try:
-            term = cs / d ** (k + 1)
-        except OverflowError:
-            # d^(k+1) passed 1.8e308; at n <= 1e6 such a term is below
-            # 1e-96 of the first one, 1/d, so it counts as 0.0
-            term = 0.0
-        yield term
-
-
-def _lower_terms(a: float, z: float, K: int) -> Iterator[float]:
-    """Lower-series terms c_k Phi_k(z - a), k = 0..K, drawn one at a time."""
-    return map(operator.mul, _c(a, K), _phi_linear(z - a, K))
-
-
-def _gamma_series_lower(a: float, z: float, K: int) -> tuple[float, int]:
-    """(value, terms used) of the lower series at z < a, for a shape, order
-    and finite z > 0 the caller has validated."""
-    if z >= a:
-        raise RegimeError(f"lower expansion requires z < a, got z={z}, a={a}")
-    total, used = _sum_optimal(_lower_terms(a, z, K))
-    return _prefactor(a, z) * total, used
+# The linear-regime series oscillate with period two (odd terms are
+# suppressed by an extra half power of the shape), so the classical
+# smallest-magnitude-term stop of an asymptotic series is applied to the
+# pair envelope max(|t_2m|, |t_2m+1|) rather than to raw terms: the sum
+# takes (even, odd) pairs until a pair's envelope exceeds the last nonzero
+# one, and leaves that pair out; at an even order K the last pair is the
+# lone term t_K.  Each loop forms only the terms up to the pair that stops
+# it, and returns (partial sum, number of terms included) before the
+# prefactor _prefactor(a, z), which the caller applies.
 
 
 def _gamma_series_upper(a: float, z: float, K: int) -> tuple[float, int]:
-    """(value, terms used) of the upper series at z > a, as _gamma_series_lower."""
+    """Upper-series sum of c*_k / (z - a)^(k+1), k = 0..K, at z > a, under
+    the pair-envelope truncation, for a shape, order and finite z the
+    caller has validated."""
     if z <= a:
         raise RegimeError(f"upper expansion requires z > a, got z={z}, a={a}")
-    total, used = _sum_optimal(_upper_terms(a, z, K))
-    return _prefactor(a, z) * total, used
+    d = z - a
+    total, prev = 0.0, math.inf
+    c0, c1 = 1.0, 0.0  # c*_k and c*_(k+1) of the pair at k
+    for k in range(0, K, 2):
+        try:
+            even = c0 / d ** (k + 1)
+        except OverflowError:
+            # d^(k+1) passed 1.8e308; at n <= 1e6 such a term is below
+            # 1e-96 of the first one, 1/d, so it counts as 0.0
+            even = 0.0
+        try:
+            odd = c1 / d ** (k + 2)
+        except OverflowError:
+            odd = 0.0
+        env, odd_env = abs(even), abs(odd)
+        if odd_env > env:
+            env = odd_env
+        if env > prev:
+            return total, k
+        if env:
+            prev = env
+        total += even + odd
+        c0 = -(k + 1) * (c1 + a * c0)
+        c1 = -(k + 2) * (c0 + a * c1)
+    if K % 2 == 0:
+        try:
+            even = c0 / d ** (K + 1)
+        except OverflowError:
+            even = 0.0
+        if abs(even) > prev:
+            return total, K
+        total += even
+    return total, K + 1
 
 
-def _transition_sum(a: float, phi: Sequence[float]) -> float:
-    """Transition-regime sum a^(a+1) e^(-a) / Gamma(a+1) * sum_k c_k phi_k
-    over the given Phi values (one sequence, or a difference of two)."""
-    c = _transition_coeffs(a, len(phi) - 1)
-    return _prefactor(a, a) * math.fsum(ck * pk for ck, pk in zip(c, phi))
+def _gamma_series_lower(a: float, z: float, K: int) -> tuple[float, int]:
+    """Lower-series sum of c_k Phi_k(z - a), k = 0..K, at z < a, as
+    _gamma_series_upper."""
+    if z >= a:
+        raise RegimeError(f"lower expansion requires z < a, got z={z}, a={a}")
+    w = z - a
+    ew = math.exp(w)
+    p0 = math.expm1(w) / w  # Phi_k of the pair at k
+    total, prev = 0.0, math.inf
+    c0, c1 = 1.0, 0.0  # c_k and c_(k+1)
+    for k in range(0, K, 2):
+        p1 = (ew - (k + 1) * p0) / w
+        even = c0 * p0
+        odd = c1 * p1
+        env, odd_env = abs(even), abs(odd)
+        if odd_env > env:
+            env = odd_env
+        if env > prev:
+            return total, k
+        if env:
+            prev = env
+        total += even + odd
+        p0 = (ew - (k + 2) * p1) / w
+        c0 = ((k + 1) * c1 - a * c0) / (k + 2)
+        c1 = ((k + 2) * c0 - a * c1) / (k + 3)
+    if K % 2 == 0:
+        even = c0 * p0
+        if abs(even) > prev:
+            return total, K
+        total += even
+    return total, K + 1
+
+
+#: 0.0, 1.0, ..., MAX_ORDER: the transition loop's counters as floats, so
+#: its K passes multiply and divide without int-to-float conversions (the
+#: same bits).
+_ORDERS = tuple(map(float, range(MAX_ORDER + 1)))
+
+
+def _transition_sum(a: float, g: float, f: float | None, K: int) -> float:
+    """Transition series at z = g less the same series at z = f (none when
+    f is None): a^(a+1) e^(-a) / Gamma(a+1) sum_k c_k [Phi_k(a, g) - Phi_k(a, f)],
+    k = 0..K, for a shape, order and arguments the caller has validated.
+
+    One pass advances the coefficients of _transition_coeffs and the two
+    sequences of phi_transition, rolling their last values in locals, and one
+    fsum adds the K + 1 terms.  f = None seeds its side with zeros, which the
+    recurrence keeps at exactly 0.0.
+    """
+    root, scale = math.sqrt(2.0 * a), math.sqrt(math.pi / (2.0 * a))
+    dg = g - a
+    pg, gauss_g, ratio_g = scale * math.erfc(dg / root), math.exp(-dg * dg / (2.0 * a)), dg / a
+    if f is None:
+        pf = gauss_f = ratio_f = 0.0
+    else:
+        df = f - a
+        pf, gauss_f, ratio_f = scale * math.erfc(df / root), math.exp(-df * df / (2.0 * a)), df / a
+    terms = [pg - pf]  # c_0 = 1
+    append = terms.append
+    # at the top of pass k: qg, pg = Phi_(k-2), Phi_(k-1) with Phi_-1 = 0;
+    # c3, c2, c1 = c_(k-3), c_(k-2), c_(k-1) with c_-2 = c_-1 = 0; k_prev = k - 1
+    qg = qf = c3 = c2 = k_prev = 0.0
+    c1 = 1.0
+    for k in _ORDERS[1 : K + 1]:
+        qg, pg = pg, (k_prev * qg + gauss_g) / a
+        qf, pf = pf, (k_prev * qf + gauss_f) / a
+        gauss_g *= ratio_g  # ((z-a)/a)^k e^(-(z-a)^2/2a)
+        gauss_f *= ratio_f
+        c3, c2, c1 = c2, c1, (a * c3 - k_prev * c1) / k
+        append(c1 * (pg - pf))
+        k_prev = k
+    return _prefactor(a, a) * math.fsum(terms)
 
 
 def gamma_series_lower(a: float, z: float, K: int = 20) -> float:
@@ -262,7 +298,8 @@ def gamma_series_lower(a: float, z: float, K: int = 20) -> float:
         raise DomainError(f"argument must be finite and nonnegative, got z={z!r}")
     if z == 0.0:
         return 0.0
-    return _gamma_series_lower(a, z, K)[0]
+    total, _ = _gamma_series_lower(a, z, K)
+    return _prefactor(a, z) * total
 
 
 def gamma_series_upper(a: float, z: float, K: int = 20) -> float:
@@ -275,7 +312,8 @@ def gamma_series_upper(a: float, z: float, K: int = 20) -> float:
     _check_order(K)
     if not math.isfinite(z):
         raise DomainError(f"argument must be finite, got z={z!r}")
-    return _gamma_series_upper(a, z, K)[0]
+    total, _ = _gamma_series_upper(a, z, K)
+    return _prefactor(a, z) * total
 
 
 def gamma_series_transition(a: float, z: float, K: int = 20) -> float:
@@ -288,7 +326,7 @@ def gamma_series_transition(a: float, z: float, K: int = 20) -> float:
         raise RegimeError(
             f"transition expansion requires |z - a| <= a^(2/3), got |{z} - {a}| = {abs(z - a)}"
         )
-    return _transition_sum(a, _phi_transition(a, z, K))
+    return _transition_sum(a, z, None, K)
 
 
 def stirling_gamma_halfn(n: int) -> float:

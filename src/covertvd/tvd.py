@@ -18,18 +18,17 @@ two tails apply.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 from .errors import AccuracyError, DomainError
-from .expansions import (
-    _check_order,
-    _gamma_series_lower,
-    _gamma_series_upper,
-    _phi_transition,
-    _transition_sum,
+from .expansions import _check_order, _gamma_series_lower, _gamma_series_upper, _transition_sum
+from .special import (
+    _gamma_log_density,
+    _gamma_log_norm,
+    gammainc,
+    reg_lower_gamma,
+    reg_upper_gamma,
 )
-from .special import _gamma_log_density, gammainc, reg_lower_gamma, reg_upper_gamma
 from .types import (
     METHOD_EXACT,
     METHOD_SERIES_HIGH,
@@ -108,12 +107,7 @@ def _tvd_value(n: int, theta: float) -> float:
 
 def tvd_exact(point: ChannelPoint) -> TvdEvaluation:
     """Exact TVD via the regularized incomplete gamma difference."""
-    return TvdEvaluation(
-        value=_tvd_value(point.n, point.theta),
-        method=METHOD_EXACT,
-        terms_used=0,
-        err_estimate=_BASELINE_PRECISION,
-    )
+    return TvdEvaluation(_tvd_value(point.n, point.theta), METHOD_EXACT, 0, _BASELINE_PRECISION)
 
 
 def tvd_complement(point: ChannelPoint) -> float:
@@ -144,22 +138,23 @@ def tvd_series(point: ChannelPoint, K: int = 20) -> TvdEvaluation:
     (method "series-high-tau"): one sum of all K + 1 terms over the
     differences Phi_k(a, g) - Phi_k(a, f).  tau_eff < 1/2 selects the
     linear-argument tail expansions (method "series-low-tau"):
-    1 - [upper series at f] - [lower series at g], each computed lazily,
-    pair of terms by pair, up to its optimal truncation; terms_used is the
-    larger count.  Values are clamped to [0, 1] (the approximations can
-    overshoot the metric's range in marginal regimes); err_estimate is the
-    absolute deviation from the exact kernel at the same (f, g).
+    1 - [upper series at f] - [lower series at g], each summed pair of
+    terms by pair up to its optimal truncation, with one Gamma(a+1)
+    normaliser shared by both prefactors; terms_used is the larger count.
+    Values are clamped to [0, 1] (the approximations can overshoot the
+    metric's range in marginal regimes); err_estimate is the absolute
+    deviation from the exact kernel at the same (f, g).
     """
-    if point.n < 100:
-        raise DomainError(f"series approximations need n >= 100, got n={point.n}")
-    if point.theta <= 0.0:
+    n, theta = point.n, point.theta
+    if n < 100:
+        raise DomainError(f"series approximations need n >= 100, got n={n}")
+    if theta <= 0.0:
         raise DomainError("series approximations need theta > 0")
     _check_order(K)
-    a = 0.5 * point.n - 1.0
-    f, g = _fg(point.n, point.theta)
-    if point.tau_eff >= 0.5:
-        diffs = map(operator.sub, _phi_transition(a, g, K), _phi_transition(a, f, K))
-        value = _transition_sum(a, list(diffs))
+    a = 0.5 * n - 1.0
+    f, g = _fg(n, theta)
+    if -math.log(theta) / math.log(n) >= 0.5:  # point.tau_eff, whose checks passed above
+        value = _transition_sum(a, g, f, K)
         terms = K + 1
         method = METHOD_SERIES_HIGH
     else:
@@ -172,13 +167,11 @@ def tvd_series(point: ChannelPoint, K: int = 20) -> TvdEvaluation:
             )
         upper, terms_f = _gamma_series_upper(a, f, K)
         lower, terms_g = _gamma_series_lower(a, g, K)
-        value = 1.0 - upper - lower
+        b = a + 1.0
+        norm = _gamma_log_norm(b)
+        value = (1.0 - math.exp(_gamma_log_density(b, f, norm)) * upper
+                 - math.exp(_gamma_log_density(b, g, norm)) * lower)
         terms = max(terms_f, terms_g)
         method = METHOD_SERIES_LOW
     value = min(1.0, max(0.0, value))
-    return TvdEvaluation(
-        value=value,
-        method=method,
-        terms_used=terms,
-        err_estimate=abs(value - _tvd_fg(0.5 * point.n, f, g)),
-    )
+    return TvdEvaluation(value, method, terms, abs(value - _tvd_fg(0.5 * n, f, g)))

@@ -81,8 +81,10 @@ class ChannelPoint:
     def from_tau(cls, n: int, tau: float, sigma2: float = 1.0) -> "ChannelPoint":
         """Point on the power scaling law theta = n**(-tau)."""
         check_tau(tau)
-        n = check_blocklength(n)
-        return cls(n=n, sigma2=sigma2, theta=float(n) ** (-tau))
+        # __post_init__ checks n and sigma2 once; theta = n**-tau lies in (0, 1]
+        point = cls(n, sigma2)
+        object.__setattr__(point, "theta", float(point.n) ** (-tau))
+        return point
 
     @property
     def sigma1_sq(self) -> float:

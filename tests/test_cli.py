@@ -18,6 +18,7 @@ from covertvd.cli import EXIT_ACCURACY, EXIT_DOMAIN, EXIT_OK, FIGURES, main
 from covertvd.errors import AccuracyError
 from covertvd.tvd import tvd_exact
 from covertvd.types import ChannelPoint
+from test_power import kernel_rounds_differently
 
 
 def run_cli(capsys, *argv):
@@ -438,6 +439,62 @@ class TestFitRateCommand:
         assert -0.45 <= row["exponent"] <= -0.15
 
 
+#: (n, theta, tvd_exact, bound column, sason_upper, series) of every fig8
+#: and fig9 row as float.hex, on the build of test_power.KERNEL_HEX
+FIG8_HEX = [
+    (1000, "0x1.01d3f2d9684d0p-3", "0x1.a1415bb96b38ap-1", "0x1.2b428dbaaf98fp-1",
+     "0x1.d1b5b9f4a8094p-1", "0x1.caa625b551d6bp-1"),
+    (1313, "0x1.db3459136828ep-4", "0x1.ae35d85469533p-1", "0x1.416ac7dd24665p-1",
+     "0x1.db351e5cc6191p-1", "0x1.cb85881285e2ap-1"),
+    (1724, "0x1.b5ec8cc1bb7fep-4", "0x1.ba5f75db1a96ep-1", "0x1.577afc879f502p-1",
+     "0x1.e378d34b6df14p-1", "0x1.cee5294d06683p-1"),
+    (2264, "0x1.938cb8ad85b5ap-4", "0x1.c5a43154ee4fcp-1", "0x1.6d277ccc89602p-1",
+     "0x1.ea7d68f58aea8p-1", "0x1.d3cf9cfcfc4e2p-1"),
+    (2972, "0x1.73ea97e6ded0ap-4", "0x1.cfe737c244e98p-1", "0x1.82131398f91bep-1",
+     "0x1.f045db9025eefp-1", "0x1.d989109bd28d5p-1"),
+    (3903, "0x1.56b88231ccb41p-4", "0x1.d91df25824c4dp-1", "0x1.95fa4d17f60f0p-1",
+     "0x1.f4e707fdefe8ep-1", "0x1.d9bf64fa1d730p-1"),
+    (5125, "0x1.3bd42ef2312aep-4", "0x1.e137a818c704bp-1", "0x1.a883a63aa3ef4p-1",
+     "0x1.f878630a19a48p-1", "0x1.dc5b9f36c728ap-1"),
+    (6729, "0x1.230e0867f36d8p-4", "0x1.e830d1e0e11d3p-1", "0x1.b969e2f88b0bbp-1",
+     "0x1.fb1c6a464de39p-1", "0x1.e56773b835c2ap-1"),
+    (8835, "0x1.0c39661be2796p-4", "0x1.ee0e29c526749p-1", "0x1.c87625f4a794cp-1",
+     "0x1.fcfa965f3d6e7p-1", "0x1.ec7f4b668798cp-1"),
+    (11601, "0x1.ee5b932a67b1bp-5", "0x1.f2dc3ceebd78ep-1", "0x1.d583255ad471cp-1",
+     "0x1.fe3beb40ffb38p-1", "0x1.f2c5e2d94d745p-1"),
+    (15232, "0x1.c7940019aaa5cp-5", "0x1.f6ae523f12427p-1", "0x1.e07ea6e1ad124p-1",
+     "0x1.ff079e84ad116p-1", "0x1.f72a93bcde5e7p-1"),
+    (20000, "0x1.a3d6548313c57p-5", "0x1.f99f2ffa1163ap-1", "0x1.e970874449429p-1",
+     "0x1.ff80b1e242261p-1", "0x1.f9d7da5f60a70p-1"),
+]
+FIG9_HEX = [
+    (500, "0x1.a6d5c2c466817p-7", "0x1.4a9650b1a5278p-4", "0x1.a0110ef4d1bf3p-4",
+     "0x1.9e1cacafdb869p-4", "0x1.4a9650b1a527dp-4"),
+    (699, "0x1.4e702f9f3d82dp-7", "0x1.35ab33d8f3b60p-4", "0x1.85726884f925cp-4",
+     "0x1.83e9b4465b761p-4", "0x1.35ab33d8f3b65p-4"),
+    (978, "0x1.085ecee20f024p-7", "0x1.21ee9531b113cp-4", "0x1.6c676c9bc95d8p-4",
+     "0x1.6b32d0c54b86ep-4", "0x1.21ee9531b113fp-4"),
+    (1367, "0x1.a2417c01074c4p-8", "0x1.0f6f5bc76a060p-4", "0x1.54fd11c049c4cp-4",
+     "0x1.5409e47c621bap-4", "0x1.0f6f5bc76a05ap-4"),
+    (1912, "0x1.4ab405805a144p-8", "0x1.fc1042802b6f0p-5", "0x1.3eff92632dec5p-4",
+     "0x1.3e3fa8762ed87p-4", "0x1.fc1042802b6fbp-5"),
+    (2674, "0x1.057f44c60aa75p-8", "0x1.db6b6e22d67d8p-5", "0x1.2a67a9d59d3d8p-4",
+     "0x1.29cfe34dc2f40p-4", "0x1.db6b6e22d67ccp-5"),
+    (3740, "0x1.9d85ebbeb9201p-9", "0x1.bcce8fd17ea68p-5", "0x1.171da8cf226f1p-4",
+     "0x1.16a5649e047fdp-4", "0x1.bcce8fd17ea75p-5"),
+    (5230, "0x1.47021e60f7288p-9", "0x1.a022f8402f1d8p-5", "0x1.05116f82f4ec9p-4",
+     "0x1.04b1efb81cd7cp-4", "0x1.a022f8402f1e1p-5"),
+    (7313, "0x1.029bcf9dfa620p-9", "0x1.8549b3df590b0p-5", "0x1.e85c437cc9c3ep-5",
+     "0x1.e7c44c3e97c83p-5", "0x1.8549b3df590b2p-5"),
+    (10227, "0x1.98fe45c5fe115p-10", "0x1.6c2315cecc608p-5", "0x1.c8bd95ba4ca2ap-5",
+     "0x1.c84475dc90b9ep-5", "0x1.6c2315cecc5f2p-5"),
+    (14302, "0x1.436aa01bcf8a5p-10", "0x1.5497e4e1757f8p-5", "0x1.ab2814a66f995p-5",
+     "0x1.aac75d37ef43fp-5", "0x1.5497e4e1757eap-5"),
+    (20000, "0x1.ff80fd5f9ebe3p-11", "0x1.3e8f6c89db788p-5", "0x1.8f7b85fcfbb57p-5",
+     "0x1.8f2e2961d5d11p-5", "0x1.3e8f6c89db77ep-5"),
+]
+
+
 class TestFigures:
     def test_deterministic_and_complete(self, tmp_path, capsys):
         d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -483,6 +540,16 @@ class TestFigures:
         rows = json.loads((tmp_path / f"{name}.json").read_text())
         assert {row["tau"] for row in rows} == {tau}
         assert [row["n"] for row in rows] == list(default_n_grid(n_min, 20000, 12))
+
+    @pytest.mark.parametrize("name, table", (("fig8", FIG8_HEX), ("fig9", FIG9_HEX)))
+    def test_bounds_figure_bits(self, tmp_path, capsys, name, table):
+        # the series, exact and bound columns keep every bit
+        if kernel_rounds_differently():
+            pytest.skip("kernel or normaliser rounds differently from the recording build")
+        run_cli(capsys, "figures", "--outdir", str(tmp_path), "--format", "json")
+        rows = json.loads((tmp_path / f"{name}.json").read_text())
+        got = [(n, *(value.hex() for value in rest)) for _, n, *rest in (row.values() for row in rows)]
+        assert got == table
 
 
 class TestOutputFile:

@@ -8,11 +8,10 @@ import pytest
 
 from covertvd.errors import DomainError, OrderError, RegimeError
 from covertvd.expansions import (
-    _lower_terms,
-    _phi_transition,
-    _sum_optimal,
+    _gamma_series_lower,
+    _gamma_series_upper,
+    _prefactor,
     _transition_coeffs,
-    _upper_terms,
     coeffs_c,
     gamma_series_lower,
     gamma_series_transition,
@@ -81,6 +80,51 @@ def phi_decay_ratios(seq):
             fact *= k
         out.append(abs(v) * w ** (k + 1) / fact)
     return tuple(out)
+
+
+def pair_envelope_sum(terms):
+    """The linear series' optimal truncation, written out: (t_2m, t_2m+1)
+    pairs are summed until a pair's envelope max(|t_2m|, |t_2m+1|) exceeds
+    the last nonzero envelope, and that pair is left out; with an odd number
+    of terms the last pair is a lone term.  Returns (sum, terms included)."""
+    total, used, prev = 0.0, 0, math.inf
+    for m in range(0, len(terms), 2):
+        pair = terms[m : m + 2]
+        env = max(abs(t) for t in pair)
+        if env != 0.0:
+            if env > prev:
+                break
+            prev = env
+        total += math.fsum(pair)
+        used += len(pair)
+    return total, used
+
+
+def upper_terms(a, z, K):
+    """c*_k / (z - a)^(k+1), k = 0..K, from coeffs_c; a term whose power of
+    z - a passes double range counts as 0.0."""
+    d = z - a
+    terms = []
+    for k, cs in enumerate(coeffs_c(a, K).c_star):
+        try:
+            terms.append(cs / d ** (k + 1))
+        except OverflowError:
+            terms.append(0.0)
+    return terms
+
+
+def lower_terms(a, z, K):
+    """c_k Phi_k(z - a), k = 0..K, from coeffs_c and phi_linear."""
+    return [c * p for c, p in zip(coeffs_c(a, K).c, phi_linear(a, z, K).values)]
+
+
+def transition_reference(a, g, f, K):
+    """Transition series at g less the series at f (none when f is None),
+    from _transition_coeffs and phi_transition."""
+    phi_g = phi_transition(a, g, K).values
+    phi_f = (0.0,) * (K + 1) if f is None else phi_transition(a, f, K).values
+    diffs = [pg - pf for pg, pf in zip(phi_g, phi_f)]
+    return _prefactor(a, a) * math.fsum(c * d for c, d in zip(_transition_coeffs(a, K), diffs))
 
 
 class TestCoeffs:
@@ -266,18 +310,20 @@ class TestGammaSeriesUpper:
         a = 499.0
         stops = []
         for mult in (2.0, 5.0, 8.0):
-            stops.append(_sum_optimal(_upper_terms(a, a + mult * math.sqrt(a), 24))[1])
+            stops.append(_gamma_series_upper(a, a + mult * math.sqrt(a), 24)[1])
         assert all(b >= s for s, b in zip(stops, stops[1:]))
         assert stops[-1] > stops[0]
 
     def test_terms_past_double_range_count_as_zero(self):
         # f at n = 602559, tau = 0.001: d^(k+1) overflows at k = 60 only
         a, z = 301278.5, 416436.827728649
-        cf = coeffs_c(a, 60)
-        terms = list(_upper_terms(a, z, 60))
-        assert len(terms) == 61
-        assert terms[:60] == [cs / (z - a) ** (k + 1) for k, cs in enumerate(cf.c_star[:60])]
-        assert terms[60] == 0.0
+        with pytest.raises(OverflowError):
+            (z - a) ** 61
+        terms = upper_terms(a, z, 60)
+        assert terms[60] == 0.0 and terms[59] != 0.0
+        # the terms decrease throughout, so all 61 enter the sum
+        assert _gamma_series_upper(a, z, 60) == pair_envelope_sum(terms)
+        assert _gamma_series_upper(a, z, 60)[1] == 61
 
     def test_regime_error(self):
         with pytest.raises(RegimeError):
@@ -320,11 +366,12 @@ def series_with_mpmath_prefactor(series, a, z, K=20):
     transition series)."""
     mp = pytest.importorskip("mpmath")
     if series is gamma_series_transition:
-        total = math.fsum(c * p for c, p in zip(_transition_coeffs(a, K), _phi_transition(a, z, K)))
+        phi = phi_transition(a, z, K).values
+        total = math.fsum(c * p for c, p in zip(_transition_coeffs(a, K), phi))
         z = a
     else:
-        terms = _lower_terms if series is gamma_series_lower else _upper_terms
-        total = _sum_optimal(terms(a, z, K))[0]
+        loop = _gamma_series_lower if series is gamma_series_lower else _gamma_series_upper
+        total = loop(a, z, K)[0]
     with mp.workdps(50):
         w, b = mp.mpf(z), mp.mpf(a) + 1
         return float(mp.exp(-w + b * mp.log(w) - mp.loggamma(b)) * total)
@@ -393,12 +440,38 @@ class TestStirling:
             stirling_gamma_halfn(1)
 
 
+class TestSeriesLoops:
+    """The evaluators' loops against the sequences built by coeffs_c,
+    phi_linear, phi_transition and _transition_coeffs, summed by the
+    truncation rule written out in this module: every bit and count equal."""
+
+    @pytest.mark.parametrize("K", (0, 1, 2, 3, 4, 5, 6, 20, 21, 60))
+    @pytest.mark.parametrize("mult", (0.5, 2.0, 5.0, 20.0))
+    def test_linear_series(self, K, mult):
+        a = 499.0
+        z_lo, z_hi = a - mult * math.sqrt(a), a + mult * math.sqrt(a)
+        assert _gamma_series_lower(a, z_lo, K) == pair_envelope_sum(lower_terms(a, z_lo, K))
+        assert _gamma_series_upper(a, z_hi, K) == pair_envelope_sum(upper_terms(a, z_hi, K))
+        assert gamma_series_lower(a, z_lo, K) == _prefactor(a, z_lo) * pair_envelope_sum(
+            lower_terms(a, z_lo, K))[0]
+        assert gamma_series_upper(a, z_hi, K) == _prefactor(a, z_hi) * pair_envelope_sum(
+            upper_terms(a, z_hi, K))[0]
+
+    @pytest.mark.parametrize("K", (0, 1, 2, 3, 4, 20, 60))
+    @pytest.mark.parametrize("z", (480.0, 499.0, 530.0))
+    def test_transition_series(self, K, z):
+        assert gamma_series_transition(499.0, z, K) == transition_reference(499.0, z, None, K)
+
+
 def test_lower_terms_match_coefficient_phi_product():
-    # the lower-series terms are exactly c_k * Phi_k(z - a)
+    # the lower-series terms are exactly c_k * Phi_k(z - a): at a = 499,
+    # z = 432 they grow again within K = 20, so the sum stops short of it on
+    # a pair boundary, and every bit and the count match the products of
+    # coeffs_c and phi_linear summed by the rule written out above
     a, z = 499.0, 432.0
-    cf = coeffs_c(a, 6)
-    phi = phi_linear(a, z, 6)
-    terms = list(_lower_terms(a, z, 6))
-    assert len(terms) == 7
-    for t, ck, pk in zip(terms, cf.c, phi.values):
-        assert t == ck * pk
+    cf = coeffs_c(a, 20)
+    phi = phi_linear(a, z, 20)
+    terms = [ck * pk for ck, pk in zip(cf.c, phi.values)]
+    total, used = _gamma_series_lower(a, z, 20)
+    assert used < 21 and used % 2 == 0
+    assert (total, used) == pair_envelope_sum(terms)

@@ -132,11 +132,17 @@ KERNEL_HEX = {
 NORM_HEX = {250.0: "0x1.d769d49007b9dp+0", 5e5: "0x1.691a82564746bp+2"}
 
 
+def kernel_rounds_differently() -> bool:
+    """True when this build's kernel or normaliser bits differ from the
+    recording build's, so recorded output bits say nothing."""
+    return any(reg_lower_gamma(a, z).hex() != h for (a, z), h in KERNEL_HEX.items()) or any(
+        _gamma_log_norm(a).hex() != h for a, h in NORM_HEX.items())
+
+
 class TestPExact:
     @pytest.mark.parametrize("n, delta", sorted(P_EXACT_HEX))
     def test_recorded_bits(self, n, delta):
-        if any(reg_lower_gamma(a, z).hex() != h for (a, z), h in KERNEL_HEX.items()) or any(
-                _gamma_log_norm(a).hex() != h for a, h in NORM_HEX.items()):
+        if kernel_rounds_differently():
             pytest.skip("kernel or normaliser rounds differently from the recording build")
         interval = p_exact(n, delta)
         got = (interval.p_suf.hex(), interval.p_exact.hex(), interval.p_nec.hex())

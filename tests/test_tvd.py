@@ -8,18 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import covertvd.expansions
 import covertvd.tvd
 from covertvd.errors import DomainError
 from covertvd.expansions import (
-    _lower_terms,
-    _sum_optimal,
-    _transition_sum,
-    _upper_terms,
-    gamma_series_lower,
+    _gamma_series_lower,
+    _gamma_series_upper,
+    _prefactor,
     gamma_series_transition,
-    gamma_series_upper,
-    phi_transition,
 )
 from covertvd.tvd import (
     _BASELINE_PRECISION,
@@ -36,6 +31,7 @@ from covertvd.types import (
     ChannelPoint,
     check_blocklength,
 )
+from test_expansions import lower_terms, pair_envelope_sum, transition_reference, upper_terms
 
 
 class TestFg:
@@ -141,32 +137,33 @@ class TestTvdExact:
 
 
 def series_from_public_pieces(point, K):
-    """tvd_series rebuilt from the public expansions: the transition sum over
-    the phi_transition differences at tau_eff >= 1/2, else
-    1 - gamma_series_upper(f) - gamma_series_lower(g), with the optimal
-    truncation's term counts."""
+    """tvd_series rebuilt from the whole sequences of coeffs_c, phi_linear,
+    phi_transition and _transition_coeffs: the transition sum over the
+    phi_transition differences at tau_eff >= 1/2, else 1 - [upper series at
+    f] - [lower series at g], each under the pair-envelope truncation
+    written out in pair_envelope_sum."""
     a = 0.5 * point.n - 1.0
     pair = fg(point)
     if point.tau_eff >= 0.5:
-        phi_g = phi_transition(a, pair.g, K).values
-        phi_f = phi_transition(a, pair.f, K).values
-        value = _transition_sum(a, [pg - pf for pg, pf in zip(phi_g, phi_f)])
+        value = transition_reference(a, pair.g, pair.f, K)
         method, terms = METHOD_SERIES_HIGH, K + 1
     else:
-        value = 1.0 - gamma_series_upper(a, pair.f, K) - gamma_series_lower(a, pair.g, K)
-        method = METHOD_SERIES_LOW
-        terms = max(_sum_optimal(_upper_terms(a, pair.f, K))[1],
-                    _sum_optimal(_lower_terms(a, pair.g, K))[1])
+        upper, terms_f = pair_envelope_sum(upper_terms(a, pair.f, K))
+        lower, terms_g = pair_envelope_sum(lower_terms(a, pair.g, K))
+        value = 1.0 - _prefactor(a, pair.f) * upper - _prefactor(a, pair.g) * lower
+        method, terms = METHOD_SERIES_LOW, max(terms_f, terms_g)
     value = min(1.0, max(0.0, value))
     return value, method, terms, abs(value - tvd_exact(point).value)
 
 
 class TestTvdSeries:
     def test_matches_public_pieces(self):
-        # == on every field, 2100 seeded points on both branches: the lazy
-        # pair sums, the shared lgamma and the shared (f, g) change no bit
+        # == on every field, 2100 seeded points on both branches: the
+        # one-pass loops, the shared normaliser and the shared (f, g) change
+        # no bit; orders 4, 5 and 21 put a lone last term or a full last
+        # pair on either side of the default order
         rng = random.Random(11)
-        orders = (0, 1, 2, 3, 20, 40, 60)
+        orders = (0, 1, 2, 3, 4, 5, 20, 21, 40, 60)
         branches = set()
         for i in range(2100):
             n = round(10.0 ** rng.uniform(2.0, 6.0))
@@ -205,24 +202,36 @@ class TestTvdSeries:
         assert ev.method == METHOD_SERIES_LOW
         assert ev.err_estimate <= 1e-2
 
-    def test_low_branch_draws_terms_lazily(self, monkeypatch):
-        # each series draws its coefficients only up to the pair of terms
-        # that stops its optimal truncation, not all K + 1 of them
-        drawn = []
+    def test_low_branch_draws_terms_lazily(self):
+        # each series forms its coefficients only up to the pair of terms
+        # that stops its optimal truncation, not all K + 1 of them.  c_0 and
+        # c_1 seed each recurrence, and every later coefficient takes one
+        # product with the shape a, which a float subclass counts.
+        class CountingShape(float):
+            products = 0
 
-        def counting(recurrence):
-            def draw(a, K):
-                for c in recurrence(a, K):
-                    drawn.append(c)
-                    yield c
-            return draw
+            def __mul__(self, other):
+                CountingShape.products += 1
+                return float(self) * other
 
-        monkeypatch.setattr(covertvd.expansions, "_c", counting(covertvd.expansions._c))
-        monkeypatch.setattr(covertvd.expansions, "_c_star", counting(covertvd.expansions._c_star))
-        ev = tvd_series(ChannelPoint.from_tau(5000, 0.3), K=20)
+            __rmul__ = __mul__
+
+        point = ChannelPoint.from_tau(5000, 0.3)
+        ev = tvd_series(point, K=20)
         assert ev.method == METHOD_SERIES_LOW
         assert ev.terms_used < 21
-        assert 0 < len(drawn) <= 2 * (ev.terms_used + 2) < 2 * 21
+        a = 0.5 * point.n - 1.0
+        pair = fg(point)
+        used = []
+        for loop, z in ((_gamma_series_upper, pair.f), (_gamma_series_lower, pair.g)):
+            CountingShape.products = 0
+            result = loop(CountingShape(a), z, 20)
+            assert result == loop(a, z, 20)
+            formed = 2 + CountingShape.products
+            assert CountingShape.products > 0
+            assert formed <= result[1] + 2 < 21 + 2
+            used.append(result[1])
+        assert max(used) == ev.terms_used
 
     def test_err_estimate_is_deviation_from_exact(self):
         point = ChannelPoint.from_tau(2000, 0.7)
