@@ -4,8 +4,23 @@ The closed forms invert the Hellinger-based sandwich: p_nec inverts the
 squared-Hellinger lower bound (spending more power than this certainly
 violates the budget), p_suf inverts the sharper Hellinger upper bound
 (spending no more than this certainly meets it), and p_exact solves
-exact TVD V(theta) = delta by a safeguarded Newton iteration bracketed
-between the two.  The Newton step uses the closed-form slope
+exact TVD V(theta) = delta.
+
+p_exact starts from a closed form that calls no kernel: the square-root
+law V ~ erf(eta sqrt(n)/2), inverted to second order in 1/n, where eta is
+DLMF 8.12's variable for the pair (f, g) of the distance, and eta is turned
+into theta by a reverted Taylor series (_theta_start).  The start lands
+within 3e-10 of the root at n = 500 and within the kernel's noise from
+n ~ 2000 up, so one safeguarded Newton step, bracketed by [p_suf, p_nec],
+usually meets the tolerance.  The bracket is checked lazily.  V increases
+in theta, so iterates on both sides of the root prove it; an end that no
+iterate reached is evaluated once, after the loop, and a wrong sign there
+raises AccuracyError where the kernel cannot resolve V (f and g round to
+the same double at that end, as at n = 1e40, delta = 0.1) and
+ConsistencyError otherwise.  On the power figures a solve takes about 2
+distance evaluations: one Newton step and one bracket end.
+
+The Newton step uses the closed-form slope
 
     dV/dtheta = p_a(g) g / (1 + theta),   a = n/2,
 
@@ -28,9 +43,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConsistencyError, DomainError
-from .special import _gamma_log_density, _gamma_log_norm
-from .tvd import _fg, _tvd_fg, _tvd_value
+from .errors import AccuracyError, ConsistencyError, DomainError
+from .special import _gamma_log_density, _gamma_log_norm, erfinv
+from .tvd import _fg, _tvd_value
 from .types import check_blocklength, check_sigma2
 
 #: Relative step or bracket width at which the Newton iteration stops.
@@ -112,20 +127,30 @@ def p_suf(n: int, delta: float, sigma2: float = 1.0) -> float:
 
 
 def p_exact(n: int, delta: float, sigma2: float = 1.0) -> PowerInterval:
-    """Power at which the exact TVD equals delta, by bracketed Newton.
+    """Power at which the exact TVD equals delta: a closed-form start, then
+    safeguarded Newton on the bracket [p_suf, p_nec].
 
-    The root is sought on the snr interval [p_suf, p_nec]/sigma2, which
-    must bracket it since the exact distance is sandwiched by the bounds
-    the endpoints invert; a non-bracketing interval raises
-    ConsistencyError because it can only mean an implementation bug.
-    From a regula-falsi start, each iterate's distance shrinks the
-    bracket, and a Newton step that would leave the bracket, or that is not
-    at most half the step before (past n ~ 1e13 the distance is a fine
-    staircase in theta, where Newton can wander), is replaced by bisection.
-    Iteration stops once the step or the bracket is below the fixed
-    relative tolerance _REL_TOL = 1e-10.  Distances come from tvd._tvd_fg,
-    the scalar kernel behind tvd_exact, and each Newton slope reuses the g
-    of the distance evaluation before it.
+    The start _theta_start inverts the symmetric law V ~ erf(x) of the
+    square-root regime, x = eta sqrt(n)/2, to second order in 1/n; it calls
+    no kernel and lands within 3e-10 relative of the root from n = 500 up
+    (4e-8 at n = 100, 7e-5 at n = 10, 7e-2 at n = 1).  A start outside
+    (p_suf, p_nec) is replaced by the midpoint.  Each distance evaluation
+    shrinks the snr interval [p_suf, p_nec]/sigma2; a Newton step that
+    would leave it, or that is not at most half the step before (past
+    n ~ 1e13 the distance is a fine staircase in theta, where Newton can
+    wander), is replaced by bisection.  Iteration stops once the step or
+    the interval is below the relative tolerance _REL_TOL = 1e-10.
+    Distances come from tvd._tvd_value, the scalar kernel behind
+    tvd_exact.
+
+    The bracket is checked lazily.  V increases in theta, so iterates with
+    residuals of both signs prove that the root lies between p_suf and
+    p_nec; an end that no iterate replaced is evaluated after the loop.
+    If that end has the wrong sign, the raise is AccuracyError where f and
+    g of tvd._fg round to the same double there (theta > 0: the kernel
+    reads V = 0 up to that end, as at n = 1e40, delta = 0.1), and
+    ConsistencyError otherwise, since the sandwich the ends invert can then
+    only fail through an implementation bug.
     """
     check_sigma2(sigma2)
     n, y, y0, lam, lam1 = _budget(n, delta)
@@ -133,27 +158,22 @@ def p_exact(n: int, delta: float, sigma2: float = 1.0) -> PowerInterval:
     suf = _snr_from_lambda(lam1, y0)
     nec = _snr_from_lambda(lam, y)
     lo, hi = suf, nec
-    f_lo = _tvd_value(n, lo) - delta
-    f_hi = _tvd_value(n, hi) - delta
-    if f_lo > 0.0 or f_hi < 0.0:
-        raise ConsistencyError(
-            f"exact TVD not bracketed by [p_suf, p_nec] at n={n}, delta={delta}: "
-            f"endpoints deviate by ({f_lo:+.3e}, {f_hi:+.3e})"
-        )
+    theta = _theta_start(n, delta)
+    if not lo < theta < hi:
+        theta = 0.5 * (lo + hi)
     a = 0.5 * n
     log_norm = _gamma_log_norm(a)
-    theta = lo - f_lo * (hi - lo) / (f_hi - f_lo) if f_hi > f_lo else lo
     last = math.inf
     while True:
-        f, g = _fg(n, theta)
-        resid = _tvd_fg(a, f, g) - delta
+        resid = _tvd_value(n, theta) - delta
+        if resid <= 0.0:
+            lo = theta
+        if resid >= 0.0:
+            hi = theta
         if resid == 0.0:
             break
-        if resid < 0.0:
-            lo = theta
-        else:
-            hi = theta
-        slope = _tvd_slope(a, theta, g, log_norm)
+        # g of tvd._fg(n, theta), bit for bit, for the slope
+        slope = _tvd_slope(a, theta, a * (math.log1p(theta) / theta), log_norm)
         step = resid / slope if slope > 0.0 else math.inf
         if not (lo < theta - step < hi and abs(step) <= 0.5 * last):
             step = theta - 0.5 * (lo + hi)
@@ -161,7 +181,61 @@ def p_exact(n: int, delta: float, sigma2: float = 1.0) -> PowerInterval:
         theta -= step
         if abs(step) <= _REL_TOL * theta or hi - lo <= _REL_TOL * hi:
             break
+    if lo == suf:
+        _check_end(n, delta, suf, "p_suf", -1.0)
+    if hi == nec:
+        _check_end(n, delta, nec, "p_nec", 1.0)
     return PowerInterval(p_suf=suf * sigma2, p_exact=theta * sigma2, p_nec=nec * sigma2)
+
+
+def _check_end(n: int, delta: float, theta: float, name: str, sign: float) -> None:
+    """Raise unless sign (V(theta) - delta) >= 0 at the bracket end theta = name."""
+    resid = _tvd_value(n, theta) - delta
+    if sign * resid >= 0.0:
+        return
+    f, g = _fg(n, theta)
+    if f == g and theta > 0.0:
+        raise AccuracyError(
+            f"exact TVD cannot be resolved at n={n}, delta={delta}: f and g round to the "
+            f"same double {f!r} at {name} = {theta!r}, so the kernel reads V = 0 up to it"
+        )
+    raise ConsistencyError(
+        f"exact TVD not bracketed by [p_suf, p_nec] at n={n}, delta={delta}: "
+        f"V({name}) - delta = {resid:+.3e}"
+    )
+
+
+def _theta_start(n: int, delta: float) -> float:
+    """Closed-form estimate of the theta with V(theta) = delta at blocklength n.
+
+    With a = n/2 and DLMF 8.12's eta for the pair (f, g), x = eta sqrt(a/2)
+    gives the symmetric law
+
+        V = erf(x) - e^(-x^2) (o_0(eta) + o_1(eta)/a + ...) / sqrt(2 pi a),
+
+    o_k(eta) = c_k(eta) - c_k(-eta): o_0 = eta/6 + eta^3/432 + ... and
+    o_1 = -eta/144 + ....  Perturbing about x_0 = erfinv(delta) solves
+    V = delta as
+
+        x = x_0 + x_0/(12a) + (x_0/288 - x_0^3/216)/a^2 + O(1/a^3),
+
+    that is eta = eta_0 (1 + (1/6 - eta_0^2/216 + 1/(72n))/n) with
+    eta_0 = 2 x_0/sqrt(n).  Without the 1/a^2 term the start sits about
+    0.014/n^2 relative below the root.
+    """
+    eta = 2.0 * erfinv(delta) / math.sqrt(n)
+    return _theta_of_eta(eta * (1.0 + (1 / 6 - eta * eta / 216 + 1 / (72 * n)) / n))
+
+
+def _theta_of_eta(eta: float) -> float:
+    """The theta >= 0 with eta(theta) = eta, eta(theta)^2 = phi(d_f) + phi(d_g)
+    (phi(x) = x - ln(1 + x), d_f = f/a - 1 and d_g = g/a - 1 at the pair of
+    tvd._fg), by its Taylor series to eta^10: the reversion of
+    eta = theta/2 - theta^2/4 + 47 theta^3/288 - 23 theta^4/192 + ....
+    Within 2e-16 relative in eta for 0 < eta <= 0.05."""
+    return eta * (2.0 + eta * (2.0 + eta * (25 / 18 + eta * (7 / 9 + eta * (817 / 2160 + eta * (
+        67 / 405 + eta * (180701 / 2721600 + eta * (4217 / 170100 + eta * (
+            10220453 / 1175731200 + eta * (1891 / 656100))))))))))
 
 
 def _tvd_slope(a: float, theta: float, g: float, log_norm: float) -> float:

@@ -16,11 +16,12 @@ directly, so tiny tails keep full relative precision.  The wrappers
 validate their arguments (DomainError) and raise AccuracyError rather than
 pass on a non-finite result.
 
-gammainc, gammaincc and ndtri are bound from scipy.special.cython_special,
-scipy's compiled scalar API: the same C routines as the scipy.special
-ufuncs, with the same bits, but called with Python floats and returning a
-Python float, without the ufunc's type resolution and 0-d array boxing
-(about 0.3 us per call instead of about 1.5 us).
+gammainc, gammaincc, ndtri and erfinv (for the start of power.p_exact) are
+bound from scipy.special.cython_special, scipy's compiled scalar API: the
+same C routines as the scipy.special ufuncs, with the same bits, but called
+with Python floats and returning a Python float, without the ufunc's type
+resolution and 0-d array boxing (about 0.3 us per call instead of about
+1.5 us).
 
 The extension is loaded by _bare_import, without running
 scipy/special/__init__.py, whose array-API backend layer pulls in
@@ -85,7 +86,7 @@ def _bare_import(package: str, module: str) -> types.ModuleType:
 
 
 _cs = _bare_import("scipy.special", "cython_special")
-gammainc, gammaincc, ndtri = _cs.gammainc, _cs.gammaincc, _cs.ndtri
+gammainc, gammaincc, ndtri, erfinv = _cs.gammainc, _cs.gammaincc, _cs.ndtri, _cs.erfinv
 # _qagse(func, a, b, args, full_output, epsabs, epsrel, limit) returns
 # (value, abserr, infodict, ier)
 _qagse = _bare_import("scipy.integrate", "_quadpack")._qagse

@@ -3,7 +3,8 @@ runner for import-footprint tests.
 
 The oracles deliberately avoid the library's incomplete-gamma path (scipy's
 gammainc): regularized gamma values come from adaptive quadrature of the
-log-stable integrand, erfc from quadrature of the Gaussian tail.
+log-stable integrand, erfc from quadrature of the Gaussian tail, and the
+exact distance from mpmath quadrature of the Gamma(n/2) density.
 """
 
 import math
@@ -42,6 +43,26 @@ def quad_reg_lower_gamma(a: float, z: float) -> float:
     return total
 
 
+def mp_tvd(n: int, theta: float, dps: int = 40):
+    """V(theta) at blocklength n as an mpmath number good to about dps digits:
+    the Gamma(n/2) density integrated over [g, f], in the coordinate
+    d = t/(n/2) - 1, as sqrt(a/2pi)/Gamma*(a) * integral of e^(-a phi(d))/(1 + d)
+    over [d_g, d_f], a = n/2, phi(d) = d - ln(1 + d), split at the peak d = 0.
+    Twenty guard digits cover the cancellation in phi at small d and in
+    a ln a - a - ln Gamma(a) up to a ~ 1e18; the integrand must stay smooth
+    on [d_g, d_f], as it does near the square-root law."""
+    import mpmath as mp
+
+    with mp.workdps(dps + 20):
+        a = mp.mpf(n) / 2
+        t = mp.mpf(theta)
+        r = mp.log1p(t) / t
+        log_norm = a * mp.log(a) - a - mp.loggamma(a)
+        v = mp.quad(lambda d: mp.exp(log_norm - a * (d - mp.log1p(d))) / (1 + d),
+                    [r - 1, 0, (1 + t) * r - 1])
+    return v
+
+
 def quad_erfc(x: float) -> float:
     """erfc(x) = (2/sqrt(pi)) integral_x^inf e^(-t^2) dt by quadrature."""
     v, _ = quad(lambda t: math.exp(-t * t), x, math.inf, epsabs=1e-14, limit=200)
@@ -51,6 +72,12 @@ def quad_erfc(x: float) -> float:
 @pytest.fixture(scope="session")
 def gamma_oracle():
     return quad_reg_lower_gamma
+
+
+@pytest.fixture(scope="session")
+def tvd_mpmath():
+    pytest.importorskip("mpmath")
+    return mp_tvd
 
 
 @pytest.fixture(scope="session")

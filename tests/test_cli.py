@@ -119,6 +119,13 @@ class TestHugeBlocklengthPower:
         assert row["p_suf"] <= row["p_exact"] <= row["p_nec"]
         assert row["p_exact"] == pytest.approx(4.0 * erfinv(delta) / math.sqrt(n), rel=1e-2)
 
+    @pytest.mark.parametrize("exponent", [40, 308])
+    def test_unresolved_kernel_exits_accuracy(self, capsys, exponent):
+        # f and g round to the same double on the whole bracket
+        code, _, err = run_cli(capsys, "power", "--n", str(10**exponent), "--delta", "0.1")
+        assert code == EXIT_ACCURACY
+        assert "round to the same double" in err
+
 
 class TestSeriesTermOverflow:
     # d^(k+1) in the upper-tail series terms passes the double range at K = 60

@@ -1,14 +1,24 @@
 """Covert power levels: closed forms, bisection inversions, sandwich."""
 
 import math
+import random
 
 import pytest
 
 import covertvd.power
 import covertvd.tvd
+from covertvd.cli import _figure_rows
 from covertvd.divergences import hellinger_sq, tvd_bounds
-from covertvd.errors import ConsistencyError, DomainError
-from covertvd.power import CovertBudget, _tvd_slope, p_exact, p_nec, p_suf
+from covertvd.errors import AccuracyError, ConsistencyError, DomainError
+from covertvd.power import (
+    CovertBudget,
+    _theta_of_eta,
+    _theta_start,
+    _tvd_slope,
+    p_exact,
+    p_nec,
+    p_suf,
+)
 from covertvd.special import _gamma_log_norm, gammainc, reg_lower_gamma
 from covertvd.tvd import _fg, _tvd_value, tvd_exact
 from covertvd.types import ChannelPoint
@@ -97,29 +107,29 @@ class TestClosedForms:
 
 
 #: (p_suf, p_exact, p_nec) as float.hex, recorded on CPython 3.11.7 with
-#: scipy 1.17.1 (x86-64 Linux); a change to the Newton loop that moves any
-#: iterate moves these bits.
+#: scipy 1.17.1 (x86-64 Linux); a change to the start or the Newton loop
+#: that moves any iterate moves these bits.
 P_EXACT_HEX = {
-    (500, 1e-06): ("0x1.0fa339bda9f98p-23", "0x1.548f8d5c06cc8p-23", "0x1.772f00bc6593cp-13"),
-    (500, 0.01): ("0x1.4bce950511465p-10", "0x1.a01073808de57p-10", "0x1.28799e56e5182p-6"),
-    (500, 0.1): ("0x1.a22cd602056b2p-7", "0x1.06980321b6493p-6", "0x1.e9c8cc9ce1f6fp-5"),
-    (500, 0.5): ("0x1.1f90779fd6829p-4", "0x1.6cf1e426cd197p-4", "0x1.490f5cd602264p-3"),
-    (2000, 1e-06): ("0x1.0fa3392d8c7bfp-24", "0x1.5479c176955d0p-24", "0x1.772ab51cf4583p-14"),
-    (2000, 0.01): ("0x1.4bb3b7d61490fp-11", "0x1.9fcb98712b397p-11", "0x1.2724f59f773e9p-7"),
-    (2000, 0.1): ("0x1.a0d92f6d0908dp-8", "0x1.057be65996d41p-7", "0x1.e2a614879b773p-6"),
-    (2000, 0.5): ("0x1.1aaa8d0d613d4p-5", "0x1.650dd67c0a737p-5", "0x1.3cb1b8e81b133p-4"),
-    (10**5, 1e-06): ("0x1.3352a5e91aadcp-27", "0x1.812c36c057ecap-27", "0x1.a86fbf566cf59p-17"),
-    (10**5, 0.01): ("0x1.772d15b336e61p-14", "0x1.d6385e74efb96p-14", "0x1.4ca21a0b450b6p-10"),
-    (10**5, 0.1): ("0x1.d653b7b196e8cp-11", "0x1.26cd7cf5ab50ep-10", "0x1.0da1b49dcaf79p-8"),
-    (10**5, 0.5): ("0x1.3b27954482259p-8", "0x1.8c900859db4e9p-8", "0x1.5ae811e7b17d7p-7"),
-    (10**6, 1e-06): ("0x1.84bc6eb9e4327p-29", "0x1.e7355effeece0p-29", "0x1.0c6fa1a07d002p-18"),
-    (10**6, 0.01): ("0x1.da8cc6771e56dp-16", "0x1.2961ab1c8ef47p-15", "0x1.a491aafcc8596p-12"),
-    (10**6, 0.1): ("0x1.295ea71bc9343p-12", "0x1.74c15dd450432p-12", "0x1.5494d2385b833p-10"),
-    (10**6, 0.5): ("0x1.8dfd1f0f480d7p-10", "0x1.f494d485e7845p-10", "0x1.b539e2e11d0c5p-9"),
-    (10**18, 1e-06): ("0x1.979e8ae80281dp-49", "0x1.f00000002386dp-49", "0x1.19799caf78aa6p-38"),
-    (10**18, 0.01): ("0x1.f19837d8b8be6p-36", "0x1.37d23fffcce6dp-35", "0x1.b8e9002c80c15p-32"),
-    (10**18, 0.1): ("0x1.37c543a1d906bp-32", "0x1.86caf80054b34p-32", "0x1.64e4c389bc5b2p-30"),
-    (10**18, 0.5): ("0x1.a101458bf85ecp-30", "0x1.0632d10010932p-29", "0x1.c9b3a5247e22dp-29"),
+    (500, 1e-06): ("0x1.0fa339bda9f98p-23", "0x1.548f8d5c0e71ap-23", "0x1.772f00bc6593cp-13"),
+    (500, 0.01): ("0x1.4bce950511465p-10", "0x1.a01073808df56p-10", "0x1.28799e56e5182p-6"),
+    (500, 0.1): ("0x1.a22cd602056b2p-7", "0x1.06980321b6483p-6", "0x1.e9c8cc9ce1f6fp-5"),
+    (500, 0.5): ("0x1.1f90779fd6829p-4", "0x1.6cf1e426cd194p-4", "0x1.490f5cd602264p-3"),
+    (2000, 1e-06): ("0x1.0fa3392d8c7bfp-24", "0x1.5479c16f708c8p-24", "0x1.772ab51cf4583p-14"),
+    (2000, 0.01): ("0x1.4bb3b7d61490fp-11", "0x1.9fcb98712bb25p-11", "0x1.2724f59f773e9p-7"),
+    (2000, 0.1): ("0x1.a0d92f6d0908dp-8", "0x1.057be65996dafp-7", "0x1.e2a614879b773p-6"),
+    (2000, 0.5): ("0x1.1aaa8d0d613d4p-5", "0x1.650dd67c0a73cp-5", "0x1.3cb1b8e81b133p-4"),
+    (10**5, 1e-06): ("0x1.3352a5e91aadcp-27", "0x1.812c36c0248a3p-27", "0x1.a86fbf566cf59p-17"),
+    (10**5, 0.01): ("0x1.772d15b336e61p-14", "0x1.d6385e74f23bap-14", "0x1.4ca21a0b450b6p-10"),
+    (10**5, 0.1): ("0x1.d653b7b196e8cp-11", "0x1.26cd7cf5ab4cfp-10", "0x1.0da1b49dcaf79p-8"),
+    (10**5, 0.5): ("0x1.3b27954482259p-8", "0x1.8c900859db53fp-8", "0x1.5ae811e7b17d7p-7"),
+    (10**6, 1e-06): ("0x1.84bc6eb9e4327p-29", "0x1.e7355effa6cbep-29", "0x1.0c6fa1a07d002p-18"),
+    (10**6, 0.01): ("0x1.da8cc6771e56dp-16", "0x1.2961ab1c8eeefp-15", "0x1.a491aafcc8596p-12"),
+    (10**6, 0.1): ("0x1.295ea71bc9343p-12", "0x1.74c15dd4507d8p-12", "0x1.5494d2385b833p-10"),
+    (10**6, 0.5): ("0x1.8dfd1f0f480d7p-10", "0x1.f494d485e7795p-10", "0x1.b539e2e11d0c5p-9"),
+    (10**18, 1e-06): ("0x1.979e8ae80281dp-49", "0x1.f00000001f731p-49", "0x1.19799caf78aa6p-38"),
+    (10**18, 0.01): ("0x1.f19837d8b8be6p-36", "0x1.37d240001e81cp-35", "0x1.b8e9002c80c15p-32"),
+    (10**18, 0.1): ("0x1.37c543a1d906bp-32", "0x1.86caf7ffa1ae6p-32", "0x1.64e4c389bc5b2p-30"),
+    (10**18, 0.5): ("0x1.a101458bf85ecp-30", "0x1.0632d10036420p-29", "0x1.c9b3a5247e22dp-29"),
 }
 
 #: the kernel and slope-normaliser bits the table was recorded with;
@@ -137,6 +147,19 @@ def kernel_rounds_differently() -> bool:
     recording build's, so recorded output bits say nothing."""
     return any(reg_lower_gamma(a, z).hex() != h for (a, z), h in KERNEL_HEX.items()) or any(
         _gamma_log_norm(a).hex() != h for a, h in NORM_HEX.items())
+
+
+def count_kernel_calls(monkeypatch) -> list:
+    """The list that collects the z of every P(n/2, z) the distance kernel
+    computes from here on; a distance evaluation is two of them."""
+    calls = []
+
+    def counting_gammainc(a, z):
+        calls.append(z)
+        return gammainc(a, z)
+
+    monkeypatch.setattr(covertvd.tvd, "gammainc", counting_gammainc)
+    return calls
 
 
 class TestPExact:
@@ -196,13 +219,7 @@ class TestPExact:
     def test_newton_call_count_and_residual(self, monkeypatch, n, delta):
         # every distance evaluation, at the bracket ends and in the Newton
         # loop, is two P(n/2, .) calls of the kernel
-        calls = []
-
-        def counting_gammainc(a, z):
-            calls.append(z)
-            return gammainc(a, z)
-
-        monkeypatch.setattr(covertvd.tvd, "gammainc", counting_gammainc)
+        calls = count_kernel_calls(monkeypatch)
         interval = p_exact(n, delta)
         assert len(calls) <= 2 * 10
         assert interval.p_suf <= interval.p_exact <= interval.p_nec
@@ -210,20 +227,18 @@ class TestPExact:
         assert abs(achieved - delta) <= 1e-8 * delta
 
     def test_distance_evaluations_per_solve(self, monkeypatch):
-        # Newton runs at every n.  Past n ~ 1e13 the kernel's V is a fine
-        # staircase in theta (f and g round to ulps of n/2), and plain Newton
-        # can wander there (339 evaluations at n = 1e26, delta = 1e-6); a step
-        # that is not at most half the one before is a bisection instead.
-        # The total stays at or below 424, what bisecting every solve past
-        # n ~ 3e13 takes on this grid, and at n <= 1e6 each count is pinned.
-        calls = []
-
-        def counting_gammainc(a, z):
-            calls.append(z)
-            return gammainc(a, z)
-
-        monkeypatch.setattr(covertvd.tvd, "gammainc", counting_gammainc)
-        pinned = {(2000, 0.1): 5, (2000, 1e-6): 5, (10**6, 0.1): 5, (10**6, 1e-6): 12}
+        # From the closed-form start one Newton step usually meets the
+        # tolerance at n <= 1e6, and one bracket end is then evaluated, as
+        # the iterates did not reach both sides of the root; at delta = 1e-6
+        # and n = 1e6 the kernel's noise takes more.  Past n ~ 1e13 the
+        # kernel's V is a fine staircase in theta (f and g round to ulps of
+        # n/2), and plain Newton can wander there (338 evaluations at
+        # n = 1e26, delta = 1e-6); a step that is not at most half the one
+        # before is a bisection instead.  The total stays at or below 424,
+        # what bisecting every solve past n ~ 3e13 takes on this grid, and at
+        # n <= 1e6 each count is pinned.
+        calls = count_kernel_calls(monkeypatch)
+        pinned = {(2000, 0.1): 2, (2000, 1e-6): 2, (10**6, 0.1): 2, (10**6, 1e-6): 9}
         total = 0
         for n in (2000, 10**6, 10**13, 10**14, 10**18, 10**20, 10**22, 10**26):
             for delta in (0.1, 1e-6):
@@ -234,6 +249,20 @@ class TestPExact:
                 assert evaluations == pinned.get((n, delta), evaluations), (n, delta)
                 total += evaluations
         assert total <= 424
+
+    def test_mean_evaluations_on_figure_domain(self, monkeypatch):
+        # the domain of the power figures: n in [500, 5000] at delta in
+        # [0.01, 0.1], and n ~ 2000 at delta in [0.01, 0.5].  Measured 2.01:
+        # one Newton step and one bracket end
+        calls = count_kernel_calls(monkeypatch)
+        rng = random.Random(27)
+        points = [(round(10 ** rng.uniform(math.log10(500), math.log10(5000))),
+                   10 ** rng.uniform(-2, -1)) for _ in range(100)]
+        points += [(rng.randint(1800, 2200), 10 ** rng.uniform(-2, math.log10(0.5)))
+                   for _ in range(50)]
+        for n, delta in points:
+            p_exact(n, delta)
+        assert len(calls) / 2 / len(points) <= 2.25
 
     @pytest.mark.parametrize("shift", (0.5, -1.0))
     def test_unbracketed_root_raises(self, monkeypatch, shift):
@@ -249,6 +278,68 @@ class TestPExact:
         interval = p_exact(n, 0.1, sigma2=2.5)
         assert interval.p_suf == p_suf(n, 0.1, sigma2=2.5)
         assert interval.p_nec == p_nec(n, 0.1, sigma2=2.5)
+
+    @pytest.mark.parametrize("n", (10**40, 10**308))
+    def test_kernel_that_cannot_resolve_v_raises_accuracy_error(self, n):
+        # f and g round to n/2 at every theta up to p_nec, so the kernel
+        # reads V = 0 on the whole bracket: the kernel fails, not the solver
+        with pytest.raises(AccuracyError, match="round to the same double"):
+            p_exact(n, 0.1)
+
+    @pytest.mark.parametrize("n", (100, 10**3, 10**4, 10**5, 10**6))
+    @pytest.mark.parametrize("delta", (1e-6, 1e-3, 0.05, 0.3, 0.8))
+    def test_nondecreasing_in_delta(self, n, delta):
+        # 200 relative steps of 1e-7 in the budget never lower the power
+        powers = [p_exact(n, delta * (1.0 + 1e-7) ** k).p_exact for k in range(200)]
+        assert all(b >= a for a, b in zip(powers, powers[1:]))
+
+
+def eta_mpmath(theta):
+    """eta(theta) = sqrt(phi(d_f) + phi(d_g)) in 50-digit mpmath, with
+    phi(x) = x - ln(1 + x), d_g = ln(1 + theta)/theta - 1, d_f = d_g + ln(1 + theta)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        t = mp.mpf(theta)
+        d_g = mp.log1p(t) / t - 1
+        d_f = d_g + mp.log1p(t)
+        return mp.sqrt(d_f - mp.log1p(d_f) + d_g - mp.log1p(d_g))
+
+
+class TestStart:
+    """The closed-form start of p_exact: the reverted eta series and how
+    close the inverted square-root law lands."""
+
+    def test_reverted_series_inverts_eta(self):
+        rng = random.Random(4)
+        etas = [0.05 * k / 50 for k in range(1, 51)] + [10 ** rng.uniform(-12, math.log10(0.05))
+                                                       for _ in range(50)]
+        for eta in etas:
+            assert abs(eta_mpmath(_theta_of_eta(eta)) / eta - 1) <= 1e-15, eta
+
+    def test_start_lands_near_the_root(self):
+        # within the solver's own noise (1e-8 at n = 1e6, delta = 1e-6) over
+        # the whole domain, and within 1e-9 on the power figures' domain
+        # (measured 2.9e-10 at n = 500)
+        rng = random.Random(5)
+        for _ in range(200):
+            n = round(10 ** rng.uniform(math.log10(500), 6))
+            delta = 10 ** rng.uniform(-6, math.log10(0.5))
+            root = p_exact(n, delta).p_exact
+            assert abs(_theta_start(n, delta) - root) <= 1e-7 * root, (n, delta)
+        for _ in range(100):
+            n = round(10 ** rng.uniform(math.log10(500), math.log10(5000)))
+            delta = 10 ** rng.uniform(-2, math.log10(0.5))
+            root = p_exact(n, delta).p_exact
+            assert abs(_theta_start(n, delta) - root) <= 1e-9 * root, (n, delta)
+
+
+@pytest.mark.parametrize("name", ("fig2", "fig3", "fig6"))
+def test_figure_powers_against_mpmath(name, tvd_mpmath):
+    # the truth gate of the power figures: every p_exact meets its budget
+    # to 1e-12 relative in 30-digit arithmetic (worst 2.7e-13, in fig3)
+    for row in _figure_rows(name):
+        resid = abs(tvd_mpmath(row["n"], row["p_exact"], dps=30) - row["delta"])
+        assert resid <= 1e-12 * row["delta"], row
 
 
 def slope_at(n, theta):
