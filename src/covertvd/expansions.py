@@ -48,8 +48,9 @@ from .errors import DomainError, OrderError, RegimeError
 from .special import _gamma_log_density, _gamma_log_norm, erfc
 from .types import check_int
 
-#: Largest supported truncation order; k! c_k growth stays inside double
-#: range with headroom below this.
+#: Largest supported truncation order.  The coefficients grow like a^(k/2)
+#: (linear series) or a^(k/3) (transition), so at huge shapes they overflow
+#: below it: at K = 20 from a ~ 5e31 and 5e52.
 MAX_ORDER = 60
 
 

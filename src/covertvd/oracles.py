@@ -67,17 +67,11 @@ class DetectionEstimate:
 
 
 def lrt_threshold(point: ChannelPoint) -> float:
-    """Squared-radius threshold R^2 = n sigma^2 sigma1^2 ln(1+theta)/p_n of
-    the likelihood-ratio test; R^2/(2 sigma^2) = f and R^2/(2 sigma1^2) = g."""
+    """Squared-radius threshold R^2 = 2 sigma^2 f of the likelihood-ratio
+    test, at the kernel's own f of tvd._fg; R^2/(2 sigma1^2) = g."""
     if point.theta <= 0.0:
         raise DomainError("the test is degenerate at theta = 0 (identical hypotheses)")
-    n_sigma2, theta = point.n * point.sigma2, point.theta
-    r2 = n_sigma2 * (1.0 + theta) * math.log1p(theta) / theta
-    if r2 == math.inf:
-        # n sigma^2 (1 + theta) overflowed although R^2 ~ n sigma^2 ln(1 + theta)
-        # may be finite; regrouping only here keeps every finite R^2 bit-identical
-        r2 = n_sigma2 * ((1.0 + theta) * (math.log1p(theta) / theta))
-    return r2
+    return 2.0 * point.sigma2 * _fg(point.n, point.theta)[0]
 
 
 def simulate_test(

@@ -141,7 +141,7 @@ def p_exact(n: int, delta: float, sigma2: float = 1.0) -> PowerInterval:
     wander), is replaced by bisection.  Iteration stops once the step or
     the interval is below the relative tolerance _REL_TOL = 1e-10.
     Distances come from tvd._tvd_value, the scalar kernel behind
-    tvd_exact.
+    tvd_exact, and the slope's g from tvd._fg.
 
     The bracket is checked lazily.  V increases in theta, so iterates with
     residuals of both signs prove that the root lies between p_suf and
@@ -172,8 +172,7 @@ def p_exact(n: int, delta: float, sigma2: float = 1.0) -> PowerInterval:
             hi = theta
         if resid == 0.0:
             break
-        # g of tvd._fg(n, theta), bit for bit, for the slope
-        slope = _tvd_slope(a, theta, a * (math.log1p(theta) / theta), log_norm)
+        slope = _tvd_slope(a, theta, _fg(n, theta)[1], log_norm)
         step = resid / slope if slope > 0.0 else math.inf
         if not (lo < theta - step < hi and abs(step) <= 0.5 * last):
             step = theta - 0.5 * (lo + hi)

@@ -8,13 +8,12 @@ chi2_cdf        : central chi-square CDF with n degrees of freedom
 erfc            : complementary error function
 q_fn, q_inv     : standard normal tail probability and its inverse
 
-P(a, z) and Q(a, z) are scipy's gammainc / gammaincc, which switch to
-Temme's uniform asymptotic expansion for large a near the transition
-z ~ a (DiDonato & Morris, ACM TOMS 12, 1986), so shape parameters up to
-a ~ 5e5 (blocklengths to 1e6) stay smooth in z.  Each side is evaluated
-directly, so tiny tails keep full relative precision.  The wrappers
-validate their arguments (DomainError) and raise AccuracyError rather than
-pass on a non-finite result.
+P(a, z) and Q(a, z) are scipy's gammainc / gammaincc (DiDonato & Morris,
+ACM TOMS 12, 1986).  The lower tail near the transition loses precision
+with a: at z = a - 5 sqrt(a) the relative error of P against 30-digit
+mpmath is 7e-15 at a = 1e5, 3.6e-13 at 2.5e5, 8.2e-9 at 5e5 and 4.3e-6 at
+1e6.  The wrappers validate their arguments (DomainError) and raise
+AccuracyError rather than pass on a non-finite result.
 
 gammainc, gammaincc, ndtri and erfinv (for the start of power.p_exact) are
 bound from scipy.special.cython_special, scipy's compiled scalar API: the

@@ -81,28 +81,24 @@ def log_tail_weight(n: int, z: float) -> float:
     return _gamma_log_density(0.5 * n, z, 0.0)
 
 
-def _tvd_fg(half: float, f: float, g: float) -> float:
-    """V = P(half, f) - P(half, g) clamped to [0, 1]: the one exact-distance
-    kernel, at half = n/2 and the pair (f, g) = _fg(n, theta).
+def _tvd_value(n: int, theta: float) -> float:
+    """V = P(n/2, f) - P(n/2, g) at (f, g) = _fg(n, theta), clamped to
+    [0, 1]: the one exact-distance kernel, behind tvd_exact, tvd_series'
+    err_estimate, the sweeps and p_exact.
 
-    The caller has validated n and theta, so half is finite and positive
-    and 0 <= g <= f: the compiled gammainc is called without
-    reg_lower_gamma's argument and result checks, and one finiteness test
-    per distance stands in for them.  It fails only where f overflowed or
-    gammainc returned NaN (at shapes past about 2e305), and the checked
-    wrappers then raise the DomainError or AccuracyError of any public call.
+    The caller has validated (n, theta) as a ChannelPoint would, so n/2 is
+    finite and positive and 0 <= g <= f: the compiled gammainc is called
+    without reg_lower_gamma's checks, and one finiteness test per distance
+    stands in for them.  It fails only where f overflowed or gammainc
+    returned NaN (at shapes past about 2e305), and the checked wrappers
+    then raise the DomainError or AccuracyError of any public call.
     """
+    f, g = _fg(n, theta)
+    half = 0.5 * n
     v = gammainc(half, f) - gammainc(half, g)
     if not math.isfinite(f - v):
         v = reg_lower_gamma(half, f) - reg_lower_gamma(half, g)
     return min(1.0, max(0.0, v))
-
-
-def _tvd_value(n: int, theta: float) -> float:
-    """_tvd_fg at an (n, theta) the caller has validated as a ChannelPoint
-    would; tvd_exact wraps it, and the sweeps call it directly."""
-    f, g = _fg(n, theta)
-    return _tvd_fg(0.5 * n, f, g)
 
 
 def tvd_exact(point: ChannelPoint) -> TvdEvaluation:
@@ -143,7 +139,9 @@ def tvd_series(point: ChannelPoint, K: int = 20) -> TvdEvaluation:
     normaliser shared by both prefactors; terms_used is the larger count.
     Values are clamped to [0, 1] (the approximations can overshoot the
     metric's range in marginal regimes); err_estimate is the absolute
-    deviation from the exact kernel at the same (f, g).
+    deviation from the exact kernel, _tvd_value at the same (n, theta).
+    A sum that is not finite (its coefficients overflow; at K = 20 from
+    n ~ 1e32 below tau_eff = 1/2 and 1e53 above) raises AccuracyError.
     """
     n, theta = point.n, point.theta
     if n < 100:
@@ -173,5 +171,10 @@ def tvd_series(point: ChannelPoint, K: int = 20) -> TvdEvaluation:
                  - math.exp(_gamma_log_density(b, g, norm)) * lower)
         terms = max(terms_f, terms_g)
         method = METHOD_SERIES_LOW
+    if not math.isfinite(value):
+        raise AccuracyError(
+            f"{method} sum is {value} at n={n}, theta={theta}, K={K}: "
+            f"its coefficients overflow the double range"
+        )
     value = min(1.0, max(0.0, value))
-    return TvdEvaluation(value, method, terms, abs(value - _tvd_fg(0.5 * n, f, g)))
+    return TvdEvaluation(value, method, terms, abs(value - _tvd_value(n, theta)))

@@ -185,6 +185,14 @@ class TestHugeBlocklengthDensity:
         assert code == EXIT_ACCURACY, err
         assert "below its ulp" in err
 
+    @pytest.mark.parametrize("n, tau", ((10**32, "0.3"), (10**53, "0.7")))
+    def test_series_overflow_exits_accuracy(self, capsys, n, tau):
+        # the series sum is NaN here; this printed value 0 and exited 0
+        code, out, err = run_cli(capsys, "tvd", "--n", str(n), "--tau", tau, "--method", "series")
+        assert code == EXIT_ACCURACY, err
+        assert out == ""
+        assert "overflow the double range" in err
+
     def test_series_prefactors_below_double_range(self, capsys):
         # both series prefactors are exp(-O(1e12)) = 0.0
         code, out, err = run_cli(capsys, "tvd", "--n", str(10**14), "--tau", "0.01",

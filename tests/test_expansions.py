@@ -250,11 +250,12 @@ class TestPhiTransition:
         assert seq.values[0] == pytest.approx(math.sqrt(math.pi / (2.0 * a)), rel=1e-14)
         assert seq.values[1] == pytest.approx(1.0 / a, rel=1e-14)
 
-    def test_order_two_against_oracle(self, erfc_oracle):
+    def test_order_two_against_oracle(self):
+        mp = pytest.importorskip("mpmath")
         a, z = 250.0, 260.0
         d = z - a
         gauss = math.exp(-d * d / (2.0 * a))
-        phi0 = math.sqrt(math.pi / (2.0 * a)) * erfc_oracle(d / math.sqrt(2.0 * a))
+        phi0 = math.sqrt(math.pi / (2.0 * a)) * float(mp.erfc(d / math.sqrt(2.0 * a)))
         phi1 = gauss / a
         phi2 = (phi0 + (d / a) * gauss) / a
         seq = phi_transition(a, z, 2)

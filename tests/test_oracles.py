@@ -52,13 +52,9 @@ class TestLrtThreshold:
     @given(n=st.integers(1, 10**6), theta=st.floats(1e-8, 1e300), sigma2=st.floats(0.1, 10.0))
     @settings(max_examples=150, deadline=None)
     def test_finite_threshold_bits_unchanged(self, n, theta, sigma2):
-        # the regrouped product is taken only where the plain one overflows
-        plain = n * sigma2 * (1.0 + theta) * math.log1p(theta) / theta
-        r2 = lrt_threshold(ChannelPoint(n=n, sigma2=sigma2, theta=theta))
-        if math.isfinite(plain):
-            assert r2 == plain
-        else:
-            assert r2 == pytest.approx(n * sigma2 * math.log1p(theta), rel=1e-14)
+        # R^2 is 2 sigma^2 f at the kernel's own f, bit for bit
+        point = ChannelPoint(n=n, sigma2=sigma2, theta=theta)
+        assert lrt_threshold(point) == 2.0 * point.sigma2 * fg(point).f
 
 
 def one_shot_simulate_test(point, m, seed, threshold_sq):
@@ -242,24 +238,13 @@ class TestTvdQuadrature:
         point = ChannelPoint.from_tau(n, tau)
         assert abs(tvd_quadrature(point).value - tvd_exact(point).value) <= 1e-12
 
-    def test_err_estimate_holds_against_mpmath(self):
-        # V(g, f) = P(n/2, f) - P(n/2, g) as a 30-digit integral of the
-        # lgamma-form density, split every 4 sqrt(n/2) around the peak
-        mp = pytest.importorskip("mpmath")
+    def test_err_estimate_holds_against_mpmath(self, tvd_mpmath):
         rng = random.Random(96)
-        with mp.workdps(30):
-            for _ in range(48):
-                n, tau = round(10 ** rng.uniform(0, 7)), rng.uniform(0.02, 0.99)
-                point = ChannelPoint.from_tau(n, tau)
-                pair = fg(point)
-                a, s = mp.mpf(n) / 2, math.sqrt(n / 2)
-                lg = mp.loggamma(a)
-                cuts = [pair.g, *(n / 2 + k * s for k in range(-40, 41, 4)
-                                  if pair.g < n / 2 + k * s < pair.f), pair.f]
-                ref = mp.quad(lambda t: mp.exp((a - 1) * mp.log(t) - t - lg),
-                              [mp.mpf(c) for c in cuts])
-                ev = tvd_quadrature(point)
-                assert abs(ev.value - ref) <= ev.err_estimate, (n, tau)
+        for _ in range(48):
+            n, tau = round(10 ** rng.uniform(0, 7)), rng.uniform(0.02, 0.99)
+            point = ChannelPoint.from_tau(n, tau)
+            ev = tvd_quadrature(point)
+            assert abs(ev.value - tvd_mpmath(n, point.theta, dps=30)) <= ev.err_estimate, (n, tau)
 
     def test_error_estimate_reported(self):
         ev = tvd_quadrature(ChannelPoint(n=500, theta=0.05))

@@ -28,12 +28,12 @@ class TestRegLowerGamma:
     def test_half_shape_reduces_to_erf(self):
         assert reg_lower_gamma(0.5, 1.0) == pytest.approx(math.erf(1.0), abs=1e-13)
 
-    def test_large_shape_against_quadrature(self, gamma_oracle):
-        assert reg_lower_gamma(250.0, 260.0) == pytest.approx(gamma_oracle(250.0, 260.0), abs=1e-12)
+    def test_large_shape_against_quadrature(self, gamma_mpmath):
+        assert reg_lower_gamma(250.0, 260.0) == pytest.approx(gamma_mpmath(250.0, 260.0), abs=1e-12)
 
     @pytest.mark.parametrize("a,z", [(3.0, 0.5), (3.0, 10.0), (500.0, 480.0), (500.0, 530.0)])
-    def test_both_branches_against_quadrature(self, gamma_oracle, a, z):
-        assert reg_lower_gamma(a, z) == pytest.approx(gamma_oracle(a, z), abs=1e-12)
+    def test_both_branches_against_quadrature(self, gamma_mpmath, a, z):
+        assert reg_lower_gamma(a, z) == pytest.approx(gamma_mpmath(a, z), abs=1e-12)
 
     def test_at_zero(self):
         assert reg_lower_gamma(5.0, 0.0) == 0.0
@@ -54,7 +54,7 @@ class TestRegLowerGamma:
     def test_strictly_increasing_in_z(self, a, z, dz):
         assert reg_lower_gamma(a, z + dz) >= reg_lower_gamma(a, z)
 
-    def test_large_blocklength_scale(self, gamma_oracle):
+    def test_large_blocklength_scale(self):
         # a = n/2 at n = 1e6, argument near the transition point
         a = 5e5
         val = reg_lower_gamma(a, a + 100.0)
@@ -127,9 +127,9 @@ class TestChi2Cdf:
     def test_at_zero(self):
         assert chi2_cdf(2, 0.0) == 0.0
 
-    def test_median_scale_against_quadrature(self, gamma_oracle):
+    def test_median_scale_against_quadrature(self, gamma_mpmath):
         val = chi2_cdf(1000, 1000.0)
-        assert val == pytest.approx(gamma_oracle(500.0, 500.0), abs=1e-12)
+        assert val == pytest.approx(gamma_mpmath(500.0, 500.0), abs=1e-12)
         # frozen from the quadrature oracle
         assert val == pytest.approx(0.5059471461707322, abs=1e-12)
 
@@ -154,8 +154,9 @@ class TestErfc:
     def test_tail_limit(self):
         assert erfc(30.0) < 1e-200
 
-    def test_against_quadrature(self, erfc_oracle):
-        assert erfc(1.0) == pytest.approx(erfc_oracle(1.0), abs=1e-13)
+    def test_against_quadrature(self):
+        mp = pytest.importorskip("mpmath")
+        assert erfc(1.0) == pytest.approx(mp.erfc(1.0), abs=1e-13)
         assert erfc(1.0) == pytest.approx(0.15729920705028513, abs=1e-12)
 
     @given(x=st.floats(-6.0, 6.0))

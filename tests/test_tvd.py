@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import covertvd.tvd
-from covertvd.errors import DomainError
+from covertvd.errors import AccuracyError, DomainError
 from covertvd.expansions import (
     _gamma_series_lower,
     _gamma_series_upper,
@@ -268,6 +268,14 @@ class TestTvdSeries:
             series_from_public_pieces(point, K))
         assert 0.0 < ev.value < 1.0
         assert ev.err_estimate == abs(ev.value - tvd_exact(point).value)
+
+    @pytest.mark.parametrize("n, tau, method", ((10**32, 0.3, METHOD_SERIES_LOW),
+                                                 (10**53, 0.7, METHOD_SERIES_HIGH)))
+    def test_overflowed_sum_is_accuracy_error(self, n, tau, method):
+        # a coefficient overflows and a NaN term passes the pair-envelope
+        # test (NaN compares false); the clamp printed that sum as V = 0
+        with pytest.raises(AccuracyError, match=f"{method} sum is nan"):
+            tvd_series(ChannelPoint.from_tau(n, tau))
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
