@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, OrderError, RegimeError
+from .errors import AccuracyError, DomainError, OrderError, RegimeError
 from .special import _gamma_log_density, _gamma_log_norm, erfc
 from .types import check_int
 
@@ -287,6 +287,17 @@ def _transition_sum(a: float, g: float, f: float | None, K: int) -> float:
     return _prefactor(a, a) * math.fsum(terms)
 
 
+def _finite_sum(value: float, name: str, a: float, z: float, K: int) -> float:
+    """value, unless it is not finite: at huge shapes the coefficient
+    recurrences overflow and a NaN or infinite term enters the sum."""
+    if not math.isfinite(value):
+        raise AccuracyError(
+            f"{name} sum is {value} at a={a}, z={z}, K={K}: "
+            f"its coefficients overflow the double range"
+        )
+    return value
+
+
 def gamma_series_lower(a: float, z: float, K: int = 20) -> float:
     """Truncated expansion of gamma(a+1, z) / Gamma(a+1) for z below a.
 
@@ -300,7 +311,7 @@ def gamma_series_lower(a: float, z: float, K: int = 20) -> float:
     if z == 0.0:
         return 0.0
     total, _ = _gamma_series_lower(a, z, K)
-    return _prefactor(a, z) * total
+    return _finite_sum(_prefactor(a, z) * total, "lower series", a, z, K)
 
 
 def gamma_series_upper(a: float, z: float, K: int = 20) -> float:
@@ -314,7 +325,7 @@ def gamma_series_upper(a: float, z: float, K: int = 20) -> float:
     if not math.isfinite(z):
         raise DomainError(f"argument must be finite, got z={z!r}")
     total, _ = _gamma_series_upper(a, z, K)
-    return _prefactor(a, z) * total
+    return _finite_sum(_prefactor(a, z) * total, "upper series", a, z, K)
 
 
 def gamma_series_transition(a: float, z: float, K: int = 20) -> float:
@@ -327,7 +338,7 @@ def gamma_series_transition(a: float, z: float, K: int = 20) -> float:
         raise RegimeError(
             f"transition expansion requires |z - a| <= a^(2/3), got |{z} - {a}| = {abs(z - a)}"
         )
-    return _transition_sum(a, z, None, K)
+    return _finite_sum(_transition_sum(a, z, None, K), "transition series", a, z, K)
 
 
 def stirling_gamma_halfn(n: int) -> float:

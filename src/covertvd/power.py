@@ -6,19 +6,22 @@ violates the budget), p_suf inverts the sharper Hellinger upper bound
 (spending no more than this certainly meets it), and p_exact solves
 exact TVD V(theta) = delta.
 
-p_exact starts from a closed form that calls no kernel: the square-root
-law V ~ erf(eta sqrt(n)/2), inverted to second order in 1/n, where eta is
-DLMF 8.12's variable for the pair (f, g) of the distance, and eta is turned
-into theta by a reverted Taylor series (_theta_start).  The start lands
-within 3e-10 of the root at n = 500 and within the kernel's noise from
-n ~ 2000 up, so one safeguarded Newton step, bracketed by [p_suf, p_nec],
-usually meets the tolerance.  The bracket is checked lazily.  V increases
+p_exact is the paper's power approximation: the square-root law
+V ~ erf(eta sqrt(n)/2), where eta is DLMF 8.12's variable for the pair
+(f, g) of the distance, inverted to third order in 1/n and turned into
+theta by a reverted Taylor series (_theta_start).  It calls no kernel.
+From n = _N0 = 500 up p_exact returns it, once it lies strictly inside
+(p_suf, p_nec), and makes no distance evaluation; its residual
+|V(theta) - delta| is below 1e-12 delta there and below 1e-15 delta from
+n = 2000 up (the measured table is in p_exact's docstring).
+
+Below _N0 the closed form is the start of a safeguarded Newton solve,
+bracketed by [p_suf, p_nec].  The bracket is checked lazily.  V increases
 in theta, so iterates on both sides of the root prove it; an end that no
 iterate reached is evaluated once, after the loop, and a wrong sign there
 raises AccuracyError where the kernel cannot resolve V (f and g round to
-the same double at that end, as at n = 1e40, delta = 0.1) and
-ConsistencyError otherwise.  On the power figures a solve takes about 2
-distance evaluations: one Newton step and one bracket end.
+the same double at that end, as at n = 1, delta = 1e-40) and
+ConsistencyError otherwise.
 
 The Newton step uses the closed-form slope
 
@@ -41,6 +44,7 @@ where lambda rounds to 1 but y stays positive.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import AccuracyError, ConsistencyError, DomainError
@@ -126,20 +130,44 @@ def p_suf(n: int, delta: float, sigma2: float = 1.0) -> float:
     return _snr_from_lambda(lam1, y0) * sigma2
 
 
-def p_exact(n: int, delta: float, sigma2: float = 1.0) -> PowerInterval:
-    """Power at which the exact TVD equals delta: a closed-form start, then
-    safeguarded Newton on the bracket [p_suf, p_nec].
+#: Blocklength from which p_exact is the closed form _theta_start: the
+#: smallest n on a grid of 26 blocklengths from 200 to 1e300 at which its
+#: residual meets 1e-12 delta for every delta in [1e-15, 1 - 1e-6].
+_N0 = 500
 
-    The start _theta_start inverts the symmetric law V ~ erf(x) of the
-    square-root regime, x = eta sqrt(n)/2, to second order in 1/n; it calls
-    no kernel and lands within 3e-10 relative of the root from n = 500 up
-    (4e-8 at n = 100, 7e-5 at n = 10, 7e-2 at n = 1).  A start outside
-    (p_suf, p_nec) is replaced by the midpoint.  Each distance evaluation
-    shrinks the snr interval [p_suf, p_nec]/sigma2; a Newton step that
-    would leave it, or that is not at most half the step before (past
-    n ~ 1e13 the distance is a fine staircase in theta, where Newton can
-    wander), is replaced by bisection.  Iteration stops once the step or
-    the interval is below the relative tolerance _REL_TOL = 1e-10.
+
+def p_exact(n: int, delta: float, sigma2: float = 1.0) -> PowerInterval:
+    """Power at which the exact TVD equals delta: from n = _N0 = 500 up the
+    closed form _theta_start, below it safeguarded Newton on the bracket
+    [p_suf, p_nec] from that start.
+
+    The closed form inverts the symmetric law V ~ erf(x) of the
+    square-root regime, x = eta sqrt(n)/2, to third order in 1/n.  For
+    n >= 500 and delta in [1e-15, 1 - 1e-6] its residual meets
+
+        |V(theta) - delta| <= 1e-12 delta,  and <= 1e-15 delta from n = 2000,
+
+    measured against 30-digit mpmath on 26 blocklengths from 200 to 1e300
+    times 20 budgets (worst over delta per n):
+
+        n       200      300      450      500      1000     2000     >= 3000
+        resid   4.7e-11  6.9e-12  1.0e-12  6.1e-13  2.2e-14  8.1e-16  <= 4.2e-16
+
+    The truncation error is largest near delta = 0.9985 (6.1e-13 at
+    n = 500) and falls to 5.4e-14 at delta = 1 - 1e-6; it is about
+    3.6e-3/n^4 relative for delta <= 0.5.  From n ~ 2000 up the double
+    rounding of theta sets the residual.  A closed form that rounds below
+    the normal double range (theta < 2.2e-308, as at n = 1e300,
+    delta = 1e-300) raises AccuracyError, and one outside (p_suf, p_nec)
+    ConsistencyError.
+
+    Below _N0 the start lands within 1e-9 relative of the root for delta
+    in [1e-6, 0.5] from n = 100 up (2e-7 at n = 10, 2e-2 at n = 1); a
+    start outside (p_suf, p_nec) is replaced by the midpoint.
+    Each distance evaluation shrinks the snr interval [p_suf, p_nec]/sigma2;
+    a Newton step that would leave it, or that is not at most half the
+    step before, is replaced by bisection.  Iteration stops once the step
+    or the interval is below the relative tolerance _REL_TOL = 1e-10.
     Distances come from tvd._tvd_value, the scalar kernel behind
     tvd_exact, and the slope's g from tvd._fg.
 
@@ -148,7 +176,7 @@ def p_exact(n: int, delta: float, sigma2: float = 1.0) -> PowerInterval:
     p_nec; an end that no iterate replaced is evaluated after the loop.
     If that end has the wrong sign, the raise is AccuracyError where f and
     g of tvd._fg round to the same double there (theta > 0: the kernel
-    reads V = 0 up to that end, as at n = 1e40, delta = 0.1), and
+    reads V = 0 up to that end, as at n = 1, delta = 1e-40), and
     ConsistencyError otherwise, since the sandwich the ends invert can then
     only fail through an implementation bug.
     """
@@ -157,8 +185,19 @@ def p_exact(n: int, delta: float, sigma2: float = 1.0) -> PowerInterval:
     # bracket in snr units (sigma2 = 1), scale the results at the end
     suf = _snr_from_lambda(lam1, y0)
     nec = _snr_from_lambda(lam, y)
-    lo, hi = suf, nec
     theta = _theta_start(n, delta)
+    if n >= _N0:
+        if theta < sys.float_info.min:
+            raise AccuracyError(
+                f"p_exact at n={n}, delta={delta} is {theta!r}, below the normal double range"
+            )
+        if not suf < theta < nec:
+            raise ConsistencyError(
+                f"closed-form p_exact {theta!r} not bracketed by [p_suf, p_nec] = "
+                f"[{suf!r}, {nec!r}] at n={n}, delta={delta}"
+            )
+        return PowerInterval(p_suf=suf * sigma2, p_exact=theta * sigma2, p_nec=nec * sigma2)
+    lo, hi = suf, nec
     if not lo < theta < hi:
         theta = 0.5 * (lo + hi)
     a = 0.5 * n
@@ -210,20 +249,24 @@ def _theta_start(n: int, delta: float) -> float:
     With a = n/2 and DLMF 8.12's eta for the pair (f, g), x = eta sqrt(a/2)
     gives the symmetric law
 
-        V = erf(x) - e^(-x^2) (o_0(eta) + o_1(eta)/a + ...) / sqrt(2 pi a),
+        V = erf(x) - e^(-x^2) (o_0(eta) + o_1(eta)/a + o_2(eta)/a^2 + ...) / sqrt(2 pi a),
 
-    o_k(eta) = c_k(eta) - c_k(-eta): o_0 = eta/6 + eta^3/432 + ... and
-    o_1 = -eta/144 + ....  Perturbing about x_0 = erfinv(delta) solves
-    V = delta as
+    o_k(eta) = c_k(eta) - c_k(-eta) with Temme's c_k of DLMF 8.12.10, so
+    o_0 = eta/6 + eta^3/432 - 139 eta^5/388800 + ..., o_1 = -eta/144 -
+    77 eta^3/38880 + ... and o_2 = -139 eta/25920 + ....  Perturbing about
+    x_0 = erfinv(delta) solves V = delta as
 
-        x = x_0 + x_0/(12a) + (x_0/288 - x_0^3/216)/a^2 + O(1/a^3),
+        x = x_0 + x_0/(12a) + (x_0/288 - x_0^3/216)/a^2
+            - (139 x_0/51840 + 107 x_0^3/38880 + 2 x_0^5/6075)/a^3 + O(1/a^4),
 
-    that is eta = eta_0 (1 + (1/6 - eta_0^2/216 + 1/(72n))/n) with
-    eta_0 = 2 x_0/sqrt(n).  Without the 1/a^2 term the start sits about
-    0.014/n^2 relative below the root.
+    whose x_0-linear coefficients are the terms of Stirling's series for
+    Gamma*(a).  In eta_0 = 2 x_0/sqrt(n) this is eta = eta_0 (1 + (1/6 -
+    eta_0^2/216 - eta_0^4/6075 + (1/72 - 107 eta_0^2/19440 - 139/(6480 n))/n)/n).
     """
     eta = 2.0 * erfinv(delta) / math.sqrt(n)
-    return _theta_of_eta(eta * (1.0 + (1 / 6 - eta * eta / 216 + 1 / (72 * n)) / n))
+    e2 = eta * eta
+    return _theta_of_eta(eta * (1.0 + (1 / 6 - e2 / 216 - e2 * e2 / 6075
+                                       + (1 / 72 - 107 * e2 / 19440 - 139 / (6480 * n)) / n) / n))
 
 
 def _theta_of_eta(eta: float) -> float:
@@ -231,7 +274,11 @@ def _theta_of_eta(eta: float) -> float:
     (phi(x) = x - ln(1 + x), d_f = f/a - 1 and d_g = g/a - 1 at the pair of
     tvd._fg), by its Taylor series to eta^10: the reversion of
     eta = theta/2 - theta^2/4 + 47 theta^3/288 - 23 theta^4/192 + ....
-    Within 2e-16 relative in eta for 0 < eta <= 0.05."""
+    Against 50-digit mpmath, eta(theta) is within 2e-16 of eta for
+    0 < eta <= 0.05; the truncation then grows like eta^10, to 4e-14 at
+    eta = 0.1, 3e-11 at 0.2 and 2.2e-9 (theta 3e-9) at 0.31, the largest
+    eta_0 of the closed form (n = 500, delta = 1 - 1e-6), where V is so
+    flat in theta that the distance still meets delta to 5e-14."""
     return eta * (2.0 + eta * (2.0 + eta * (25 / 18 + eta * (7 / 9 + eta * (817 / 2160 + eta * (
         67 / 405 + eta * (180701 / 2721600 + eta * (4217 / 170100 + eta * (
             10220453 / 1175731200 + eta * (1891 / 656100))))))))))

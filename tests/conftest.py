@@ -19,16 +19,33 @@ import pytest
 import covertvd
 
 
+def _digits_lost(x) -> int:
+    """The decimal digits that terms of size 1 lose when they cancel to
+    size |x|: the extra digits that keep the result at full precision."""
+    import mpmath as mp
+
+    return max(0, -int(mp.log10(abs(x)))) if x else 0
+
+
 def _mp_gamma_mass(a, d_lo, d_hi):
     """The Gamma(a) probability of t in [a (1 + d_lo), a (1 + d_hi)], at the
     caller's mpmath precision: sqrt(a/2pi)/Gamma*(a) times the integral of
     e^(-a phi(d))/(1 + d) over [d_lo, d_hi], phi(d) = d - ln(1 + d), split
-    at the peak d = 0 when it lies inside."""
+    at the peak d = 0 when it lies inside.  The normaliser a ln a - a -
+    ln Gamma(a) and phi(d) cancel, by about log10(a ln a) digits and
+    2 log10(1/|d|) digits; both are taken with that many extra digits, so
+    the integral keeps its precision at every shape."""
     import mpmath as mp
 
-    log_norm = a * mp.log(a) - a - mp.loggamma(a)
-    return mp.quad(lambda d: mp.exp(log_norm - a * (d - mp.log1p(d))) / (1 + d),
-                   [d_lo, 0, d_hi] if d_lo < 0 < d_hi else [d_lo, d_hi])
+    with mp.extradps(int(mp.log10(1 + a * abs(mp.log(a))))):
+        log_norm = +(a * mp.log(a) - a - mp.loggamma(a))
+
+    def density(d):
+        with mp.extradps(_digits_lost(d)):
+            phi = d - mp.log1p(d)
+        return mp.exp(log_norm - a * phi) / (1 + d)
+
+    return mp.quad(density, [d_lo, 0, d_hi] if d_lo < 0 < d_hi else [d_lo, d_hi])
 
 
 def mp_reg_lower_gamma(a: float, z: float, dps: int = 40):
@@ -45,16 +62,18 @@ def mp_tvd(n: int, theta: float, dps: int = 40):
     """V(theta) at blocklength n as an mpmath number good to about dps digits:
     the Gamma(n/2) density integrated over d in [d_g, d_f], the exact (not
     rounded) pair of the distance, d_g = ln(1 + theta)/theta - 1 and
-    d_f = (1 + theta)(d_g + 1) - 1.  Twenty guard digits cover the
-    cancellation in phi at small d and in a ln a - a - ln Gamma(a) up to
-    a ~ 1e18; the integrand must stay smooth on [d_g, d_f], as it does near
-    the square-root law."""
+    d_f = (1 + theta)(d_g + 1) - 1.  d_g cancels by log10(1/theta) digits,
+    taken as extra digits, and twenty guard digits cover the rest; the
+    integrand must stay smooth on [d_g, d_f], as it does near the
+    square-root law."""
     import mpmath as mp
 
     with mp.workdps(dps + 20):
         t = mp.mpf(theta)
-        r = mp.log1p(t) / t
-        return _mp_gamma_mass(mp.mpf(n) / 2, r - 1, (1 + t) * r - 1)
+        with mp.extradps(_digits_lost(t)):
+            r = mp.log1p(t) / t
+            d_g, d_f = r - 1, (1 + t) * r - 1
+        return _mp_gamma_mass(mp.mpf(n) / 2, +d_g, +d_f)
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from covertvd.errors import DomainError, OrderError, RegimeError
+from covertvd.errors import AccuracyError, DomainError, OrderError, RegimeError
 from covertvd.expansions import (
     _gamma_series_lower,
     _gamma_series_upper,
@@ -414,6 +414,16 @@ class TestHugeShapePrefactor:
     def test_prefactor_far_below_double_range_is_zero(self, series, a, z):
         # the prefactor's log is about -1e12 or below
         assert series(a, z) == 0.0
+
+    @pytest.mark.parametrize("series, a, dz, name", [
+        (gamma_series_lower, 5e31 - 1, -1e20, "lower series"),
+        (gamma_series_transition, 5e52 - 1, -1e26, "transition series"),
+    ])
+    def test_overflowing_coefficients_raise_accuracy_error(self, series, a, dz, name):
+        # at K = 20 the coefficient recurrences overflow to a NaN sum here,
+        # as in tvd_series past n ~ 1e32 and 1e53
+        with pytest.raises(AccuracyError, match=f"{name} sum is nan"):
+            series(a, a + dz)
 
 
 class TestStirling:

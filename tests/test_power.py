@@ -19,7 +19,7 @@ from covertvd.power import (
     p_nec,
     p_suf,
 )
-from covertvd.special import _gamma_log_norm, gammainc, reg_lower_gamma
+from covertvd.special import _gamma_log_norm, erfinv, gammainc
 from covertvd.tvd import _fg, _tvd_value, tvd_exact
 from covertvd.types import ChannelPoint
 
@@ -107,47 +107,41 @@ class TestClosedForms:
 
 
 #: (p_suf, p_exact, p_nec) as float.hex, recorded on CPython 3.11.7 with
-#: scipy 1.17.1 (x86-64 Linux); a change to the start or the Newton loop
-#: that moves any iterate moves these bits.
+#: scipy 1.17.1 (x86-64 Linux).  Every row is the closed form, so a change
+#: to _theta_start or to the budget formulas moves these bits.  Residuals
+#: |V(p_exact) - delta| / delta against 30-digit mpmath at delta = 1e-6,
+#: 0.01, 0.1 and 0.5, with the Newton polish of the earlier solver -> now:
+#:   n = 500: 2.1e-10 -> 5.8e-14, 6.8e-14 -> 5.8e-14, 2.8e-15 -> 5.8e-14, 8.8e-16 -> 6.0e-14
+#:   n = 2000: 8.5e-11 -> 1.6e-16, 9.4e-14 -> 3.3e-17, 2.2e-15 -> 1.6e-16, 1.8e-15 -> 1.9e-16
+#:   n = 10**5: 7.3e-9 -> 1.7e-16, 2.7e-13 -> 3.1e-16, 6.3e-14 -> 1.5e-16, 1.0e-15 -> 5.9e-17
+#:   n = 10**6: 1.2e-8 -> 2.3e-16, 1.3e-12 -> 4.1e-16, 2.1e-13 -> 7.5e-17, 6.6e-14 -> 6.0e-17
+#:   n = 10**18: 2.9e-2 -> 1.7e-16, 8.1e-7 -> 3.4e-16, 1.7e-7 -> 8.1e-17, 3.5e-8 -> 6.2e-17
 P_EXACT_HEX = {
-    (500, 1e-06): ("0x1.0fa339bda9f98p-23", "0x1.548f8d5c0e71ap-23", "0x1.772f00bc6593cp-13"),
-    (500, 0.01): ("0x1.4bce950511465p-10", "0x1.a01073808df56p-10", "0x1.28799e56e5182p-6"),
-    (500, 0.1): ("0x1.a22cd602056b2p-7", "0x1.06980321b6483p-6", "0x1.e9c8cc9ce1f6fp-5"),
-    (500, 0.5): ("0x1.1f90779fd6829p-4", "0x1.6cf1e426cd194p-4", "0x1.490f5cd602264p-3"),
-    (2000, 1e-06): ("0x1.0fa3392d8c7bfp-24", "0x1.5479c16f708c8p-24", "0x1.772ab51cf4583p-14"),
-    (2000, 0.01): ("0x1.4bb3b7d61490fp-11", "0x1.9fcb98712bb25p-11", "0x1.2724f59f773e9p-7"),
-    (2000, 0.1): ("0x1.a0d92f6d0908dp-8", "0x1.057be65996dafp-7", "0x1.e2a614879b773p-6"),
-    (2000, 0.5): ("0x1.1aaa8d0d613d4p-5", "0x1.650dd67c0a73cp-5", "0x1.3cb1b8e81b133p-4"),
-    (10**5, 1e-06): ("0x1.3352a5e91aadcp-27", "0x1.812c36c0248a3p-27", "0x1.a86fbf566cf59p-17"),
-    (10**5, 0.01): ("0x1.772d15b336e61p-14", "0x1.d6385e74f23bap-14", "0x1.4ca21a0b450b6p-10"),
-    (10**5, 0.1): ("0x1.d653b7b196e8cp-11", "0x1.26cd7cf5ab4cfp-10", "0x1.0da1b49dcaf79p-8"),
-    (10**5, 0.5): ("0x1.3b27954482259p-8", "0x1.8c900859db53fp-8", "0x1.5ae811e7b17d7p-7"),
-    (10**6, 1e-06): ("0x1.84bc6eb9e4327p-29", "0x1.e7355effa6cbep-29", "0x1.0c6fa1a07d002p-18"),
-    (10**6, 0.01): ("0x1.da8cc6771e56dp-16", "0x1.2961ab1c8eeefp-15", "0x1.a491aafcc8596p-12"),
-    (10**6, 0.1): ("0x1.295ea71bc9343p-12", "0x1.74c15dd4507d8p-12", "0x1.5494d2385b833p-10"),
-    (10**6, 0.5): ("0x1.8dfd1f0f480d7p-10", "0x1.f494d485e7795p-10", "0x1.b539e2e11d0c5p-9"),
-    (10**18, 1e-06): ("0x1.979e8ae80281dp-49", "0x1.f00000001f731p-49", "0x1.19799caf78aa6p-38"),
-    (10**18, 0.01): ("0x1.f19837d8b8be6p-36", "0x1.37d240001e81cp-35", "0x1.b8e9002c80c15p-32"),
-    (10**18, 0.1): ("0x1.37c543a1d906bp-32", "0x1.86caf7ffa1ae6p-32", "0x1.64e4c389bc5b2p-30"),
-    (10**18, 0.5): ("0x1.a101458bf85ecp-30", "0x1.0632d10036420p-29", "0x1.c9b3a5247e22dp-29"),
+    (500, 1e-06): ("0x1.0fa339bda9f98p-23", "0x1.548f8d5d4392bp-23", "0x1.772f00bc6593cp-13"),
+    (500, 0.01): ("0x1.4bce950511465p-10", "0x1.a01073808df0bp-10", "0x1.28799e56e5182p-6"),
+    (500, 0.1): ("0x1.a22cd602056b2p-7", "0x1.06980321b65a0p-6", "0x1.e9c8cc9ce1f6fp-5"),
+    (500, 0.5): ("0x1.1f90779fd6829p-4", "0x1.6cf1e426cd365p-4", "0x1.490f5cd602264p-3"),
+    (2000, 1e-06): ("0x1.0fa3392d8c7bfp-24", "0x1.5479c16ef453dp-24", "0x1.772ab51cf4583p-14"),
+    (2000, 0.01): ("0x1.4bb3b7d61490fp-11", "0x1.9fcb98712b878p-11", "0x1.2724f59f773e9p-7"),
+    (2000, 0.1): ("0x1.a0d92f6d0908dp-8", "0x1.057be65996dbap-7", "0x1.e2a614879b773p-6"),
+    (2000, 0.5): ("0x1.1aaa8d0d613d4p-5", "0x1.650dd67c0a74bp-5", "0x1.3cb1b8e81b133p-4"),
+    (10**5, 1e-06): ("0x1.3352a5e91aadcp-27", "0x1.812c3690f0a78p-27", "0x1.a86fbf566cf59p-17"),
+    (10**5, 0.01): ("0x1.772d15b336e61p-14", "0x1.d6385e74f1af7p-14", "0x1.4ca21a0b450b6p-10"),
+    (10**5, 0.1): ("0x1.d653b7b196e8cp-11", "0x1.26cd7cf5ab615p-10", "0x1.0da1b49dcaf79p-8"),
+    (10**5, 0.5): ("0x1.3b27954482259p-8", "0x1.8c900859db536p-8", "0x1.5ae811e7b17d7p-7"),
+    (10**6, 1e-06): ("0x1.84bc6eb9e4327p-29", "0x1.e7355f635a3c8p-29", "0x1.0c6fa1a07d002p-18"),
+    (10**6, 0.01): ("0x1.da8cc6771e56dp-16", "0x1.2961ab1c8d4bfp-15", "0x1.a491aafcc8596p-12"),
+    (10**6, 0.1): ("0x1.295ea71bc9343p-12", "0x1.74c15dd450d50p-12", "0x1.5494d2385b833p-10"),
+    (10**6, 0.5): ("0x1.8dfd1f0f480d7p-10", "0x1.f494d485e7a3dp-10", "0x1.b539e2e11d0c5p-9"),
+    (10**18, 1e-06): ("0x1.979e8ae80281dp-49", "0x1.fee002a1be137p-49", "0x1.19799caf78aa6p-38"),
+    (10**18, 0.01): ("0x1.f19837d8b8be6p-36", "0x1.37d2509f8959dp-35", "0x1.b8e9002c80c15p-32"),
+    (10**18, 0.1): ("0x1.37c543a1d906bp-32", "0x1.86caf3916b584p-32", "0x1.64e4c389bc5b2p-30"),
+    (10**18, 0.5): ("0x1.a101458bf85ecp-30", "0x1.0632d04d80832p-29", "0x1.c9b3a5247e22dp-29"),
 }
 
-#: the kernel and slope-normaliser bits the table was recorded with;
-#: another scipy or libm build may round them differently, and the table
-#: then says nothing about the solver
-KERNEL_HEX = {
-    (250.0, 251.5): "0x1.17973bd9188ffp-1",
-    (5e5, 499300.0): "0x1.49efa68dc3767p-3",
-}
-NORM_HEX = {250.0: "0x1.d769d49007b9dp+0", 5e5: "0x1.691a82564746bp+2"}
-
-
-def kernel_rounds_differently() -> bool:
-    """True when this build's kernel or normaliser bits differ from the
-    recording build's, so recorded output bits say nothing."""
-    return any(reg_lower_gamma(a, z).hex() != h for (a, z), h in KERNEL_HEX.items()) or any(
-        _gamma_log_norm(a).hex() != h for a, h in NORM_HEX.items())
-
+#: the erfinv bits the table was recorded with; another scipy build may
+#: round them differently, and the table then says nothing about the code
+ERFINV_HEX = {1e-06: "0x1.dbca19e678b8ep-21", 0.5: "0x1.e861fbb24c00ap-2"}
 
 def count_kernel_calls(monkeypatch) -> list:
     """The list that collects the z of every P(n/2, z) the distance kernel
@@ -165,8 +159,8 @@ def count_kernel_calls(monkeypatch) -> list:
 class TestPExact:
     @pytest.mark.parametrize("n, delta", sorted(P_EXACT_HEX))
     def test_recorded_bits(self, n, delta):
-        if kernel_rounds_differently():
-            pytest.skip("kernel or normaliser rounds differently from the recording build")
+        if any(erfinv(d).hex() != h for d, h in ERFINV_HEX.items()):
+            pytest.skip("erfinv rounds differently from the recording build")
         interval = p_exact(n, delta)
         got = (interval.p_suf.hex(), interval.p_exact.hex(), interval.p_nec.hex())
         assert got == P_EXACT_HEX[n, delta]
@@ -227,33 +221,24 @@ class TestPExact:
         assert abs(achieved - delta) <= 1e-8 * delta
 
     def test_distance_evaluations_per_solve(self, monkeypatch):
-        # From the closed-form start one Newton step usually meets the
-        # tolerance at n <= 1e6, and one bracket end is then evaluated, as
-        # the iterates did not reach both sides of the root; at delta = 1e-6
-        # and n = 1e6 the kernel's noise takes more.  Past n ~ 1e13 the
-        # kernel's V is a fine staircase in theta (f and g round to ulps of
-        # n/2), and plain Newton can wander there (338 evaluations at
-        # n = 1e26, delta = 1e-6); a step that is not at most half the one
-        # before is a bisection instead.  The total stays at or below 424,
-        # what bisecting every solve past n ~ 3e13 takes on this grid, and at
-        # n <= 1e6 each count is pinned.
+        # from n = 500 up p_exact is the closed form and evaluates no
+        # distance, at every budget and at blocklengths where the kernel
+        # cannot resolve V; below, one Newton step from it usually meets
+        # the tolerance, and one bracket end is then evaluated
         calls = count_kernel_calls(monkeypatch)
-        pinned = {(2000, 0.1): 2, (2000, 1e-6): 2, (10**6, 0.1): 2, (10**6, 1e-6): 9}
-        total = 0
-        for n in (2000, 10**6, 10**13, 10**14, 10**18, 10**20, 10**22, 10**26):
-            for delta in (0.1, 1e-6):
-                calls.clear()
+        for n in (500, 2000, 10**6, 10**13, 10**26, 10**308):
+            for delta in (1e-15, 1e-6, 0.1, 1 - 1e-6):
                 interval = p_exact(n, delta)
                 assert interval.p_suf <= interval.p_exact <= interval.p_nec
-                evaluations = len(calls) // 2
-                assert evaluations == pinned.get((n, delta), evaluations), (n, delta)
-                total += evaluations
-        assert total <= 424
+        assert calls == []
+        p_exact(200, 0.1)
+        assert len(calls) == 2 * 2
 
     def test_mean_evaluations_on_figure_domain(self, monkeypatch):
         # the domain of the power figures: n in [500, 5000] at delta in
-        # [0.01, 0.1], and n ~ 2000 at delta in [0.01, 0.5].  Measured 2.01:
-        # one Newton step and one bracket end
+        # [0.01, 0.1], and n ~ 2000 at delta in [0.01, 0.5].  The closed
+        # form evaluates no distance there (2.01 per solve with the Newton
+        # polish it replaced)
         calls = count_kernel_calls(monkeypatch)
         rng = random.Random(27)
         points = [(round(10 ** rng.uniform(math.log10(500), math.log10(5000))),
@@ -262,16 +247,31 @@ class TestPExact:
                    for _ in range(50)]
         for n, delta in points:
             p_exact(n, delta)
-        assert len(calls) / 2 / len(points) <= 2.25
+        assert calls == []
 
     @pytest.mark.parametrize("shift", (0.5, -1.0))
     def test_unbracketed_root_raises(self, monkeypatch, shift):
-        # +0.5 lifts V(p_suf) above delta, -1 drops V(p_nec) below it
+        # +0.5 lifts V(p_suf) above delta, -1 drops V(p_nec) below it; the
+        # Newton solve runs below n = 500 only
         monkeypatch.setattr(
             covertvd.power, "_tvd_value", lambda n, theta: _tvd_value(n, theta) + shift
         )
         with pytest.raises(ConsistencyError, match="not bracketed"):
+            p_exact(200, 0.1)
+
+    @pytest.mark.parametrize("factor", (0.5, 4.0))
+    def test_unbracketed_closed_form_raises(self, monkeypatch, factor):
+        # half the start lies below p_suf at delta = 0.1, four times it
+        # above p_nec
+        monkeypatch.setattr(covertvd.power, "_theta_start",
+                            lambda n, delta: factor * _theta_start(n, delta))
+        with pytest.raises(ConsistencyError, match="not bracketed"):
             p_exact(2000, 0.1)
+
+    @pytest.mark.parametrize("n, delta", ((10**300, 1e-300), (500, 1e-320)))
+    def test_closed_form_below_normal_range_raises_accuracy_error(self, n, delta):
+        with pytest.raises(AccuracyError, match="below the normal double range"):
+            p_exact(n, delta)
 
     @pytest.mark.parametrize("n", (1, 500, 10**6))
     def test_interval_matches_closed_forms(self, n):
@@ -279,19 +279,37 @@ class TestPExact:
         assert interval.p_suf == p_suf(n, 0.1, sigma2=2.5)
         assert interval.p_nec == p_nec(n, 0.1, sigma2=2.5)
 
-    @pytest.mark.parametrize("n", (10**40, 10**308))
-    def test_kernel_that_cannot_resolve_v_raises_accuracy_error(self, n):
-        # f and g round to n/2 at every theta up to p_nec, so the kernel
-        # reads V = 0 on the whole bracket: the kernel fails, not the solver
-        with pytest.raises(AccuracyError, match="round to the same double"):
-            p_exact(n, 0.1)
+    @pytest.mark.parametrize("n", (10**32, 10**40, 10**308))
+    def test_closed_form_where_kernel_cannot_resolve_v(self, n):
+        # f and g are at most a few ulps of n/2 apart up to p_nec, so the
+        # kernel cannot resolve V there; the closed form is the square-root
+        # law 4 erfinv(delta)/sqrt(n), whose 1/n terms are below its ulp
+        interval = p_exact(n, 0.1)
+        assert interval.p_exact == pytest.approx(4.0 * erfinv(0.1) / math.sqrt(n), rel=1e-15)
+        assert interval.p_suf < interval.p_exact < interval.p_nec
 
-    @pytest.mark.parametrize("n", (100, 10**3, 10**4, 10**5, 10**6))
+    @pytest.mark.parametrize("n, delta", ((1, 1e-40), (499, 1e-35)))
+    def test_kernel_that_cannot_resolve_v_raises_accuracy_error(self, n, delta):
+        # below n = 500, where Newton runs, f and g round to n/2 at every
+        # theta up to p_nec at these budgets, so the kernel reads V = 0 on
+        # the whole bracket: the kernel fails, not the solver
+        with pytest.raises(AccuracyError, match="round to the same double"):
+            p_exact(n, delta)
+
+    @pytest.mark.parametrize("n", (100, 10**3, 10**4, 10**5, 10**6, 10**9, 10**12, 10**32))
     @pytest.mark.parametrize("delta", (1e-6, 1e-3, 0.05, 0.3, 0.8))
     def test_nondecreasing_in_delta(self, n, delta):
         # 200 relative steps of 1e-7 in the budget never lower the power
         powers = [p_exact(n, delta * (1.0 + 1e-7) ** k).p_exact for k in range(200)]
         assert all(b >= a for a, b in zip(powers, powers[1:]))
+
+    @pytest.mark.parametrize("n", (500, 10**4, 10**9, 10**32, 10**300))
+    @pytest.mark.parametrize("delta", (1e-6, 0.1, 0.8))
+    def test_nonincreasing_in_blocklength(self, n, delta):
+        # 200 steps of ceil(n 1e-7) in the blocklength never raise the power
+        step = -(-n // 10**7)
+        powers = [p_exact(n + k * step, delta).p_exact for k in range(200)]
+        assert all(b <= a for a, b in zip(powers, powers[1:]))
 
 
 def eta_mpmath(theta):
@@ -306,8 +324,9 @@ def eta_mpmath(theta):
 
 
 class TestStart:
-    """The closed-form start of p_exact: the reverted eta series and how
-    close the inverted square-root law lands."""
+    """The closed form of p_exact, which is also the start of its Newton
+    solve below n = 500: the reverted eta series and how close the
+    inverted square-root law lands."""
 
     def test_reverted_series_inverts_eta(self):
         rng = random.Random(4)
@@ -316,21 +335,43 @@ class TestStart:
         for eta in etas:
             assert abs(eta_mpmath(_theta_of_eta(eta)) / eta - 1) <= 1e-15, eta
 
-    def test_start_lands_near_the_root(self):
-        # within the solver's own noise (1e-8 at n = 1e6, delta = 1e-6) over
-        # the whole domain, and within 1e-9 on the power figures' domain
-        # (measured 2.9e-10 at n = 500)
+    def test_reverted_series_up_to_the_largest_closed_form_eta(self):
+        # eta_0 reaches 0.31 at n = 500, delta = 1 - 1e-6; the truncation
+        # grows like eta^10 past 0.05 (measured 3.8e-14 at 0.1, 3.3e-11 at
+        # 0.2 and 2.2e-9 at 0.31)
+        for eta in [0.05 + 0.26 * k / 26 for k in range(27)]:
+            err = abs(eta_mpmath(_theta_of_eta(eta)) / eta - 1)
+            assert err <= max(1e-15, 2.5e-9 * (eta / 0.31) ** 9), eta
+
+    def test_start_lands_near_the_root(self, tvd_mpmath):
+        # below n = 500, where Newton polishes it, the start's residual
+        # against mpmath falls like n^-4 for delta <= 0.5 (measured at most
+        # 3.8e-3/n^4 over 60 seeded draws); from n = 500 up the start is
+        # p_exact itself, and test_closed_form_meets_stated_bound covers it
         rng = random.Random(5)
-        for _ in range(200):
-            n = round(10 ** rng.uniform(math.log10(500), 6))
+        for _ in range(40):
+            n = round(10 ** rng.uniform(2, math.log10(500)))
             delta = 10 ** rng.uniform(-6, math.log10(0.5))
-            root = p_exact(n, delta).p_exact
-            assert abs(_theta_start(n, delta) - root) <= 1e-7 * root, (n, delta)
-        for _ in range(100):
-            n = round(10 ** rng.uniform(math.log10(500), math.log10(5000)))
-            delta = 10 ** rng.uniform(-2, math.log10(0.5))
-            root = p_exact(n, delta).p_exact
-            assert abs(_theta_start(n, delta) - root) <= 1e-9 * root, (n, delta)
+            resid = abs(tvd_mpmath(n, _theta_start(n, delta), dps=30) - delta)
+            assert resid <= 5e-3 / n**4 * delta, (n, delta)
+
+    def test_closed_form_meets_stated_bound(self, monkeypatch, tvd_mpmath):
+        # p_exact's stated bound for n >= 500 and delta in [1e-15, 1 - 1e-6]:
+        # |V - delta| <= 1e-12 delta, and 1e-15 delta from n = 2000 up
+        # (measured 6.1e-13 at n = 500, delta ~ 0.9985, and at most 4.2e-16
+        # from n = 3000 to 1e300); no distance is evaluated
+        calls = count_kernel_calls(monkeypatch)
+        rng = random.Random(31)
+        ns = [round(10 ** rng.uniform(math.log10(500), 300)) for _ in range(40)]
+        ns += [rng.randint(500, 2000) for _ in range(20)]
+        for n in ns:
+            if rng.random() < 0.5:
+                delta = 10 ** rng.uniform(-15, math.log10(0.5))
+            else:
+                delta = 1.0 - 10 ** rng.uniform(-6, math.log10(0.5))
+            resid = abs(tvd_mpmath(n, p_exact(n, delta).p_exact, dps=30) - delta)
+            assert resid <= (1e-12 if n < 2000 else 1e-15) * delta, (n, delta)
+        assert calls == []
 
 
 # distance figure -> (column, ceiling, relative?): each column's worst error
