@@ -15,23 +15,8 @@ From n = _N0 = 500 up p_exact returns it, once it lies strictly inside
 |V(theta) - delta| is below 1e-12 delta there and below 1e-15 delta from
 n = 2000 up (the measured table is in p_exact's docstring).
 
-Below _N0 the closed form is the start of a safeguarded Newton solve,
-bracketed by [p_suf, p_nec].  The bracket is checked lazily.  V increases
-in theta, so iterates on both sides of the root prove it; an end that no
-iterate reached is evaluated once, after the loop, and a wrong sign there
-raises AccuracyError where the kernel cannot resolve V (f and g round to
-the same double at that end, as at n = 1, delta = 1e-40) and
-ConsistencyError otherwise.
-
-The Newton step uses the closed-form slope
-
-    dV/dtheta = p_a(g) g / (1 + theta),   a = n/2,
-
-with p_a the Gamma(a) density (special._gamma_log_density, accurate at every
-n).  It is p_a(f) f' - p_a(g) g' with one density: at the likelihood-ratio
-threshold the likelihoods are equal, so p_a(f) = p_a(g) / (1 + theta), and
-f = (1 + theta) g gives f' = g + (1 + theta) g'.  The slope only steers the
-search; the bracket guarantees the result.
+Below _N0 p_exact solves V(theta) = delta by Brent's method (scipy's
+compiled _brentq) on the bracket [p_suf, p_nec] that the closed forms give.
 
 With lambda = sqrt(1 - 4y) the closed-form snr is
 (1 - 2y + sqrt(1 - 4y))/(2y) - 1 = 2 lambda / (1 - lambda).  The code
@@ -48,12 +33,17 @@ import sys
 from dataclasses import dataclass
 
 from .errors import AccuracyError, ConsistencyError, DomainError
-from .special import _gamma_log_density, _gamma_log_norm, erfinv
+from .special import _brentq, erfinv
 from .tvd import _fg, _tvd_value
 from .types import check_blocklength, check_sigma2
 
-#: Relative step or bracket width at which the Newton iteration stops.
-_REL_TOL = 1e-10
+#: Relative tolerance of the Brent solve below _N0.
+_REL_TOL = 1e-12
+#: Iteration cap of the Brent solve.  Where the kernel's ~1e-16 absolute
+#: noise makes V a staircase at the tolerance, Brent needs more than
+#: scipy's default of 100: at most 117 iterations were measured over 40000
+#: seeded solves with n < 500 and delta in [1e-16, 0.999].
+_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -138,8 +128,8 @@ _N0 = 500
 
 def p_exact(n: int, delta: float, sigma2: float = 1.0) -> PowerInterval:
     """Power at which the exact TVD equals delta: from n = _N0 = 500 up the
-    closed form _theta_start, below it safeguarded Newton on the bracket
-    [p_suf, p_nec] from that start.
+    closed form _theta_start, below it Brent's method on the bracket
+    [p_suf, p_nec].
 
     The closed form inverts the symmetric law V ~ erf(x) of the
     square-root regime, x = eta sqrt(n)/2, to third order in 1/n.  For
@@ -161,32 +151,20 @@ def p_exact(n: int, delta: float, sigma2: float = 1.0) -> PowerInterval:
     delta = 1e-300) raises AccuracyError, and one outside (p_suf, p_nec)
     ConsistencyError.
 
-    Below _N0 the start lands within 1e-9 relative of the root for delta
-    in [1e-6, 0.5] from n = 100 up (2e-7 at n = 10, 2e-2 at n = 1); a
-    start outside (p_suf, p_nec) is replaced by the midpoint.
-    Each distance evaluation shrinks the snr interval [p_suf, p_nec]/sigma2;
-    a Newton step that would leave it, or that is not at most half the
-    step before, is replaced by bisection.  Iteration stops once the step
-    or the interval is below the relative tolerance _REL_TOL = 1e-10.
-    Distances come from tvd._tvd_value, the scalar kernel behind
-    tvd_exact, and the slope's g from tvd._fg.
-
-    The bracket is checked lazily.  V increases in theta, so iterates with
-    residuals of both signs prove that the root lies between p_suf and
-    p_nec; an end that no iterate replaced is evaluated after the loop.
-    If that end has the wrong sign, the raise is AccuracyError where f and
-    g of tvd._fg round to the same double there (theta > 0: the kernel
-    reads V = 0 up to that end, as at n = 1, delta = 1e-40), and
-    ConsistencyError otherwise, since the sandwich the ends invert can then
-    only fail through an implementation bug.
+    Below _N0, _solve runs Brent's method on the snr bracket
+    [p_suf, p_nec]/sigma2 to the relative tolerance _REL_TOL = 1e-12, with
+    no absolute one, and distances from tvd._tvd_value, the scalar kernel
+    behind tvd_exact.
     """
     check_sigma2(sigma2)
     n, y, y0, lam, lam1 = _budget(n, delta)
     # bracket in snr units (sigma2 = 1), scale the results at the end
     suf = _snr_from_lambda(lam1, y0)
     nec = _snr_from_lambda(lam, y)
-    theta = _theta_start(n, delta)
-    if n >= _N0:
+    if n < _N0:
+        theta = _solve(n, delta, suf, nec)
+    else:
+        theta = _theta_start(n, delta)
         if theta < sys.float_info.min:
             raise AccuracyError(
                 f"p_exact at n={n}, delta={delta} is {theta!r}, below the normal double range"
@@ -196,51 +174,42 @@ def p_exact(n: int, delta: float, sigma2: float = 1.0) -> PowerInterval:
                 f"closed-form p_exact {theta!r} not bracketed by [p_suf, p_nec] = "
                 f"[{suf!r}, {nec!r}] at n={n}, delta={delta}"
             )
-        return PowerInterval(p_suf=suf * sigma2, p_exact=theta * sigma2, p_nec=nec * sigma2)
-    lo, hi = suf, nec
-    if not lo < theta < hi:
-        theta = 0.5 * (lo + hi)
-    a = 0.5 * n
-    log_norm = _gamma_log_norm(a)
-    last = math.inf
-    while True:
-        resid = _tvd_value(n, theta) - delta
-        if resid <= 0.0:
-            lo = theta
-        if resid >= 0.0:
-            hi = theta
-        if resid == 0.0:
-            break
-        slope = _tvd_slope(a, theta, _fg(n, theta)[1], log_norm)
-        step = resid / slope if slope > 0.0 else math.inf
-        if not (lo < theta - step < hi and abs(step) <= 0.5 * last):
-            step = theta - 0.5 * (lo + hi)
-        last = abs(step)
-        theta -= step
-        if abs(step) <= _REL_TOL * theta or hi - lo <= _REL_TOL * hi:
-            break
-    if lo == suf:
-        _check_end(n, delta, suf, "p_suf", -1.0)
-    if hi == nec:
-        _check_end(n, delta, nec, "p_nec", 1.0)
     return PowerInterval(p_suf=suf * sigma2, p_exact=theta * sigma2, p_nec=nec * sigma2)
 
 
-def _check_end(n: int, delta: float, theta: float, name: str, sign: float) -> None:
-    """Raise unless sign (V(theta) - delta) >= 0 at the bracket end theta = name."""
-    resid = _tvd_value(n, theta) - delta
-    if sign * resid >= 0.0:
-        return
-    f, g = _fg(n, theta)
-    if f == g and theta > 0.0:
+def _solve(n: int, delta: float, suf: float, nec: float) -> float:
+    """The theta in [suf, nec] with V(theta) = delta, by Brent's method.
+
+    V increases in theta, so the bracket holds unless V(suf) > delta or
+    V(nec) < delta.  Then the raise is AccuracyError where f and g of
+    tvd._fg round to the same double at nec (the kernel reads V = 0 up to
+    it, as at n = 1, delta = 1e-40), and ConsistencyError otherwise, since
+    the sandwich the ends invert can then only fail through an
+    implementation bug.  Errors of the distance itself pass unchanged.
+    """
+    def resid(theta: float) -> float:
+        return _tvd_value(n, theta) - delta
+
+    try:
+        theta, _, _, flag = _brentq(resid, suf, nec, 0.0, _REL_TOL, _MAX_ITER, (), 1, 0)
+    except ValueError as exc:
+        if exc.__traceback__.tb_next is not None:  # raised in resid, not by _brentq
+            raise
+        f, g = _fg(n, nec)
+        if f == g and nec > 0.0:
+            raise AccuracyError(
+                f"exact TVD cannot be resolved at n={n}, delta={delta}: f and g round to the "
+                f"same double {f!r} at p_nec = {nec!r}, so the kernel reads V = 0 up to it"
+            ) from None
+        raise ConsistencyError(
+            f"exact TVD not bracketed by [p_suf, p_nec] at n={n}, delta={delta}: "
+            f"V(p_suf) - delta = {resid(suf):+.3e}, V(p_nec) - delta = {resid(nec):+.3e}"
+        ) from None
+    if flag:
         raise AccuracyError(
-            f"exact TVD cannot be resolved at n={n}, delta={delta}: f and g round to the "
-            f"same double {f!r} at {name} = {theta!r}, so the kernel reads V = 0 up to it"
+            f"Brent's method did not converge in {_MAX_ITER} iterations at n={n}, delta={delta}"
         )
-    raise ConsistencyError(
-        f"exact TVD not bracketed by [p_suf, p_nec] at n={n}, delta={delta}: "
-        f"V({name}) - delta = {resid:+.3e}"
-    )
+    return theta
 
 
 def _theta_start(n: int, delta: float) -> float:
@@ -282,9 +251,3 @@ def _theta_of_eta(eta: float) -> float:
     return eta * (2.0 + eta * (2.0 + eta * (25 / 18 + eta * (7 / 9 + eta * (817 / 2160 + eta * (
         67 / 405 + eta * (180701 / 2721600 + eta * (4217 / 170100 + eta * (
             10220453 / 1175731200 + eta * (1891 / 656100))))))))))
-
-
-def _tvd_slope(a: float, theta: float, g: float, log_norm: float) -> float:
-    """dV/dtheta = p_a(g) g / (1 + theta) at a = n/2, g = _fg(n, theta)[1],
-    p_a the Gamma(a) density, log_norm = special._gamma_log_norm(a)."""
-    return math.exp(_gamma_log_density(a, g, log_norm)) / (1.0 + theta)

@@ -34,10 +34,14 @@ reuses those extensions.  QUADPACK's dqagse, _qagse, which
 oracles.tvd_quadrature calls, is bound the same way from the compiled
 extension scipy.integrate._quadpack, which imports nothing but numpy
 (under 1 ms; scipy's Python quad wrapper, scipy.integrate._quadpack_py,
-would add the array-API layer and about 0.2 s).  Both loads run while
-this module is imported, under Python's import lock.  One caveat: code in
-another thread that imports scipy.special or scipy.integrate for the
-first time while import covertvd runs could see the bare stand-in.
+would add the array-API layer and about 0.2 s).  Brent's root finder,
+_brentq, which power.p_exact calls below n = 500, comes the same way from
+the compiled extension scipy.optimize._zeros, which imports nothing (about
+0.4 ms; scipy.optimize's package init would add about 0.35 s).  All three
+loads run while this module is imported, under Python's import lock.  One
+caveat: code in another thread that imports scipy.special,
+scipy.integrate or scipy.optimize for the first time while import
+covertvd runs could see the bare stand-in.
 """
 
 from __future__ import annotations
@@ -89,6 +93,9 @@ gammainc, gammaincc, ndtri, erfinv = _cs.gammainc, _cs.gammaincc, _cs.ndtri, _cs
 # _qagse(func, a, b, args, full_output, epsabs, epsrel, limit) returns
 # (value, abserr, infodict, ier)
 _qagse = _bare_import("scipy.integrate", "_quadpack")._qagse
+# _brentq(f, a, b, xtol, rtol, maxiter, args, full_output, disp) returns
+# (root, funcalls, iterations, flag) with full_output = 1
+_brentq = _bare_import("scipy.optimize", "_zeros")._brentq
 
 _SQRT2 = math.sqrt(2.0)
 

@@ -1,5 +1,5 @@
-"""Shared independent oracles for the test suite, and a fresh-interpreter
-runner for import-footprint tests.
+"""Shared independent oracles for the test suite, a bisection inverter, and
+a fresh-interpreter runner for import-footprint tests.
 
 The oracles deliberately avoid the library's incomplete-gamma path (scipy's
 gammainc): one mpmath integral of the Gamma(a) density in the coordinate
@@ -86,6 +86,27 @@ def gamma_mpmath():
 def tvd_mpmath():
     pytest.importorskip("mpmath")
     return mp_tvd
+
+
+def _invert_monotone(fn, target):
+    """Bisection inversion of an increasing fn(theta) >= 0: double hi from 1
+    until fn(hi) >= target, then 200 halvings of [0, hi].  Independent of
+    the closed forms under test."""
+    lo, hi = 0.0, 1.0
+    while fn(hi) < target:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if fn(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.fixture(scope="session")
+def invert_monotone():
+    return _invert_monotone
 
 
 def _run_python(code: str) -> None:

@@ -138,7 +138,7 @@ def test_criterion_05_bound_sandwich():
     assert worst_violation <= slack
 
 
-def test_criterion_06_power_sandwich():
+def test_criterion_06_power_sandwich(invert_monotone):
     worst_inv = 0.0
     for n in (500, 1000, 2000, 5000):
         for delta in (0.01, 0.05, 0.1, 0.3):
@@ -147,8 +147,10 @@ def test_criterion_06_power_sandwich():
             assert tvd_exact(ChannelPoint(n=n, theta=interval.p_suf)).value <= delta
             assert tvd_exact(ChannelPoint(n=n, theta=interval.p_nec)).value >= delta
             # independent bisection inversions of the two bounds
-            theta_nec = _invert(lambda t, p=n: tvd_bounds(ChannelPoint(n=p, theta=t)).hellinger_sq, delta)
-            theta_suf = _invert(lambda t, p=n: tvd_bounds(ChannelPoint(n=p, theta=t)).sason_upper, delta)
+            theta_nec = invert_monotone(
+                lambda t, p=n: tvd_bounds(ChannelPoint(n=p, theta=t)).hellinger_sq, delta)
+            theta_suf = invert_monotone(
+                lambda t, p=n: tvd_bounds(ChannelPoint(n=p, theta=t)).sason_upper, delta)
             worst_inv = max(
                 worst_inv,
                 abs(p_nec(n, delta) - theta_nec) / theta_nec,
@@ -157,19 +159,6 @@ def test_criterion_06_power_sandwich():
     ok = worst_inv <= 1e-9
     report(6, "power sandwich", ok, f"worst inversion mismatch = {worst_inv:.2e}")
     assert worst_inv <= 1e-9
-
-
-def _invert(fn, target):
-    lo, hi = 0.0, 1.0
-    while fn(hi) < target:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 @pytest.mark.xfail(

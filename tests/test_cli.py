@@ -130,7 +130,7 @@ class TestHugeBlocklengthPower:
         assert row["p_exact"] == pytest.approx(4.0 * erfinv(0.1) / math.sqrt(n), rel=1e-12)
 
     def test_unresolved_kernel_exits_accuracy(self, capsys):
-        # below n = 500 Newton runs, and at this budget f and g round to the
+        # below n = 500 Brent runs, and at this budget f and g round to the
         # same double on the whole bracket
         code, _, err = run_cli(capsys, "power", "--n", "1", "--delta", "1e-40")
         assert code == EXIT_ACCURACY
@@ -255,8 +255,9 @@ class TestQuadratureLimitsRoundTogether:
 def test_import_footprint(run_python, tmp_path):
     # no subcommand loads scipy.integrate's package init, scipy.optimize,
     # scipy.linalg, scipy.sparse, the full scipy.special or scipy's array-API
-    # layer; tvd --method quadrature adds only the compiled
-    # scipy.integrate._quadpack, loaded bare and dropped from sys.modules
+    # layer; the compiled scipy.integrate._quadpack (for tvd --method
+    # quadrature) and scipy.optimize._zeros (for power below n = 500) are
+    # loaded bare at import and dropped from sys.modules
     run_python(f"""
         import sys
         from covertvd.cli import main
@@ -268,6 +269,7 @@ def test_import_footprint(run_python, tmp_path):
             ["tvd", *point, "--method", "quadrature"],
             ["bounds", *point],
             ["power", "--n", "2000", "--delta", "0.1"],
+            ["power", "--n", "100", "--delta", "0.1"],
             ["throughput", "--kind", "covert", "--n", "2000", "--eps", "1e-3", "--delta", "0.1"],
             ["throughput", "--kind", "converse", *snr],
             ["throughput", "--kind", "ach-na", *snr, "--mu", "0.5", "--tau0", "0.05"],

@@ -178,6 +178,13 @@ class TestKlBetaLower:
             ratios.append(diag / exact)
         assert all(b < a for a, b in zip(ratios, ratios[1:]))
 
+    def test_not_a_lower_bound_at_moderate_theta(self):
+        # measured 0.770 against V = 0.645 at (100, 0.3), and 2.95 at (1000, 1)
+        point = ChannelPoint(n=100, theta=0.3)
+        assert kl_beta_lower(point) == pytest.approx(0.770, abs=5e-4)
+        assert tvd_exact(point).value == pytest.approx(0.645, abs=5e-4)
+        assert kl_beta_lower(ChannelPoint(n=1000, theta=1.0)) == pytest.approx(2.95, abs=5e-3)
+
     def test_decay_exponent_along_scaling_law(self):
         # theta = n^(-0.7): the diagnostic decays polynomially like the
         # reverse divergence, exponent 1 - 2 tau = -0.4
