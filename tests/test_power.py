@@ -22,6 +22,9 @@ from covertvd.special import erfinv, gammainc
 from covertvd.tvd import _tvd_value, tvd_exact
 from covertvd.types import ChannelPoint
 
+#: Blocklengths below power._N0 = 500, where p_exact solves by Brent's method.
+_BELOW_N0 = (1, 2, 10, 13, 50, 100, 300, 499)
+
 
 class TestCovertBudget:
     def test_limits_as_delta_vanishes(self):
@@ -205,6 +208,28 @@ class TestPExact:
         assert interval.p_suf <= interval.p_exact <= interval.p_nec
         achieved = tvd_exact(ChannelPoint(n=n, theta=interval.p_exact)).value
         assert abs(achieved - delta) <= 1e-8 * delta
+
+    @pytest.mark.parametrize("n", _BELOW_N0)
+    @pytest.mark.parametrize("delta", (1e-3, 1.2e-3, 0.01, 0.1, 0.5, 0.999))
+    def test_solve_against_mpmath(self, tvd_mpmath, n, delta):
+        # the truth gate below n = 500, where Brent solves at rtol 1e-12:
+        # residual against 30-digit mpmath within 1.8e-12 delta, the worst
+        # of the Newton polish it replaced (measured at most 5.3e-13 delta
+        # on this grid)
+        interval = p_exact(n, delta)
+        assert interval.p_suf <= interval.p_exact <= interval.p_nec
+        assert abs(tvd_mpmath(n, interval.p_exact, dps=30) - delta) <= 1.8e-12 * delta
+
+    @pytest.mark.parametrize("n", _BELOW_N0)
+    @pytest.mark.parametrize("delta", (1e-14, 1e-12, 1e-9, 1e-6))
+    def test_small_budget_solve_within_kernel_noise(self, tvd_mpmath, n, delta):
+        # below delta ~ 1e-3 the kernel's ~1e-16 absolute noise, not the
+        # tolerance, sets the residual: measured at most 1.5e-15 absolute
+        # over 300 seeded draws with n < 500 and delta in [1e-14, 1e-3];
+        # from delta = 1e-14 up the solve returns rather than raising
+        interval = p_exact(n, delta)
+        assert interval.p_suf <= interval.p_exact <= interval.p_nec
+        assert abs(tvd_mpmath(n, interval.p_exact, dps=30) - delta) <= 3e-15
 
     def test_distance_evaluations_per_solve(self, monkeypatch):
         # from n = 500 up p_exact is the closed form and evaluates no
