@@ -13,14 +13,8 @@ from .errors import (
     OrderError,
     RegimeError,
 )
-from .oracles import (
-    DetectionEstimate,
-    lrt_threshold,
-    simulate_test,
-    tvd_monte_carlo,
-    tvd_quadrature,
-)
-from .power import CovertBudget, PowerInterval, p_exact, p_nec, p_suf
+from .oracles import DetectionEstimate, lrt_threshold, simulate_test, tvd_quadrature
+from .power import PowerInterval, p_exact, p_nec, p_suf
 from .throughput import (
     ThroughputReport,
     achievability_full,
@@ -40,7 +34,6 @@ __all__ = [
     "BoundsReport",
     "ChannelPoint",
     "ConsistencyError",
-    "CovertBudget",
     "CovertvdError",
     "DetectionEstimate",
     "DomainError",
@@ -72,7 +65,6 @@ __all__ = [
     "tvd_bounds",
     "tvd_complement",
     "tvd_exact",
-    "tvd_monte_carlo",
     "tvd_quadrature",
     "tvd_series",
     "__version__",

@@ -5,10 +5,10 @@ Emits CSV or JSON sweep data for every library operation, plus a
 (power-vs-blocklength at two budgets, power-vs-budget, TVD scaling sweeps,
 and the two bound-comparison sweeps).
 
-Exit codes: 0 success, 2 usage error (argparse), 3 numeric domain/regime
-violation, 4 internal accuracy/consistency failure.  The environment
-variable COVERTVD_OUTDIR supplies the default output directory for
-``figures``.
+Exit codes: 0 success, 2 usage error (argparse) or an output path that
+cannot be written, 3 numeric domain/regime violation, 4 internal
+accuracy/consistency failure.  The environment variable COVERTVD_OUTDIR
+supplies the default output directory for ``figures``.
 
 Example:
   covertvd sweep --tau 0.5 --n-min 1000 --n-max 100000 --points 12 --format csv
@@ -316,6 +316,9 @@ def main(argv: list[str] | None = None) -> int:
     except (AccuracyError, ConsistencyError) as exc:
         print(f"covertvd: {exc}", file=sys.stderr)
         return EXIT_ACCURACY
+    except OSError as exc:  # --output or --outdir
+        print(f"covertvd: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 

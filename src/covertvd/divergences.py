@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .special import _phi, reg_lower_gamma
-from .tvd import _fg
+from .special import _phi
 from .types import ChannelPoint
 
 LOG2E = math.log2(math.e)
@@ -149,23 +148,3 @@ def tvd_bounds(point: ChannelPoint) -> BoundsReport:
         math.sqrt(-math.expm1(-fwd_nats)),
     )
 
-
-def kl_beta_lower(point: ChannelPoint, beta: float | None = None) -> float:
-    """Rate diagnostic (1 - beta)/ln(1/beta) * D(P0||P1), not a bound on the TVD.
-
-    Along theta = n^(-tau) with tau > 1/2 it sits below the distance and
-    decays like n^(1 - 2 tau); at moderate theta it exceeds the distance and
-    even 1 (0.770 against V = 0.645 at n = 100, theta = 0.3; 2.95 at
-    n = 1000, theta = 1).
-
-    beta defaults to the exact missed-detection probability of the optimal
-    energy test, P(n/2, g); the ratio is invariant to the log base, so the
-    natural-log divergence is used throughout.
-    """
-    if beta is None:
-        if point.theta <= 0.0:
-            raise DomainError("default beta undefined at theta = 0 (no test to miss)")
-        beta = reg_lower_gamma(0.5 * point.n, _fg(point.n, point.theta)[1])
-    if not (0.0 < beta < 1.0):
-        raise DomainError(f"missed-detection probability must lie in (0, 1), got {beta!r}")
-    return (1.0 - beta) / math.log(1.0 / beta) * _kl_rev_nats(point.n, point.theta)

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import AccuracyError, DomainError
 from .special import _gamma_log_density, _gamma_log_norm, _qagse
 from .tvd import _fg
-from .types import METHOD_MONTE_CARLO, METHOD_QUADRATURE, ChannelPoint, TvdEvaluation, check_int
+from .types import METHOD_QUADRATURE, ChannelPoint, TvdEvaluation, check_int
 
 #: variates simulate_test draws and counts at a time
 _BLOCK = 8192
@@ -125,18 +125,6 @@ def simulate_test(
         samples=m,
         seed=seed,
         std_err=math.sqrt(p * (1.0 - p) / m),
-    )
-
-
-def tvd_monte_carlo(point: ChannelPoint, m: int, seed: int) -> TvdEvaluation:
-    """simulate_test repackaged as a TvdEvaluation: value 1 - (alpha + beta)
-    clamped to [0, 1], err_estimate the standard error, terms_used m."""
-    est = simulate_test(point, m=m, seed=seed)
-    return TvdEvaluation(
-        value=min(1.0, max(0.0, est.tvd_hat)),
-        method=METHOD_MONTE_CARLO,
-        terms_used=m,
-        err_estimate=est.std_err,
     )
 
 

@@ -46,28 +46,12 @@ _REL_TOL = 1e-12
 _MAX_ITER = 200
 
 
-@dataclass(frozen=True)
-class CovertBudget:
-    """TVD budget delta with its derived intermediates.
+def _budget(n: int, delta: float) -> tuple[int, float, float, float, float]:
+    """(n, y, y0, lambda, lambda1) of the TVD budget delta, with n validated:
 
     y  = (1/4)(1 - delta)^(4/n)        lambda  = sqrt(1 - 4 y)
     y0 = (1/4)(1 - delta^2)^(2/n)      lambda1 = sqrt(1 - 4 y0)
     """
-
-    delta: float
-    n: int
-    y: float
-    y0: float
-    lam: float
-    lam1: float
-
-    @classmethod
-    def from_delta(cls, n: int, delta: float) -> "CovertBudget":
-        return cls(delta, *_budget(n, delta))
-
-
-def _budget(n: int, delta: float) -> tuple[int, float, float, float, float]:
-    """(n, y, y0, lambda, lambda1) of CovertBudget, with n validated."""
     n = check_blocklength(n)
     if not (math.isfinite(delta) and 0.0 < delta < 1.0):
         raise DomainError(f"TVD budget must lie in (0, 1), got {delta!r}")

@@ -6,7 +6,7 @@ reg_lower_gamma : regularized lower incomplete gamma P(a, z)
 reg_upper_gamma : regularized upper incomplete gamma Q(a, z) = 1 - P(a, z)
 chi2_cdf        : central chi-square CDF with n degrees of freedom
 erfc            : complementary error function
-q_fn, q_inv     : standard normal tail probability and its inverse
+q_inv           : inverse of the standard normal tail probability
 
 P(a, z) and Q(a, z) are scipy's gammainc / gammaincc (DiDonato & Morris,
 ACM TOMS 12, 1986).  The lower tail near the transition loses precision
@@ -97,8 +97,6 @@ _qagse = _bare_import("scipy.integrate", "_quadpack")._qagse
 # (root, funcalls, iterations, flag) with full_output = 1
 _brentq = _bare_import("scipy.optimize", "_zeros")._brentq
 
-_SQRT2 = math.sqrt(2.0)
-
 
 def _check_gamma_args(a: float, z: float) -> None:
     if not (math.isfinite(a) and math.isfinite(z)):
@@ -147,13 +145,6 @@ def erfc(x: float) -> float:
     if not math.isfinite(x):
         raise DomainError(f"erfc argument must be finite, got {x!r}")
     return math.erfc(x)
-
-
-def q_fn(x: float) -> float:
-    """Standard normal tail probability Q(x) = erfc(x / sqrt(2)) / 2."""
-    if not math.isfinite(x):
-        raise DomainError(f"Q-function argument must be finite, got {x!r}")
-    return 0.5 * math.erfc(x / _SQRT2)
 
 
 def q_inv(p: float) -> float:

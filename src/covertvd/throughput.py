@@ -93,7 +93,12 @@ def capacity(P: float) -> float:
 
 def dispersion(P: float) -> float:
     """AWGN dispersion (log2 e)^2/2 * (1 - (1 + P)^-2) in bits^2 per use."""
-    return 0.5 * LOG2E * LOG2E * P * (P + 2.0) / ((1.0 + P) * (1.0 + P))
+    v = 0.5 * LOG2E * LOG2E * P * (P + 2.0) / ((1.0 + P) * (1.0 + P))
+    if not math.isfinite(v):
+        # P (P + 2) and (1 + P)^2 overflow from P ~ 1.3e154; regrouping
+        # only here keeps every finite value bit-identical
+        v = 0.5 * LOG2E * LOG2E * (P / (1.0 + P)) * ((P + 2.0) / (1.0 + P))
+    return v
 
 
 def _check_radius(R: float) -> None:
@@ -162,7 +167,14 @@ def t_mu(P: float, R: float, mu: float) -> float:
 
 def _v_hat(P: float, R: float) -> float:
     c = LOG2E / (2.0 * (1.0 + P))
-    return c * c * (4.0 * R + 2.0 * P * P)
+    v = c * c * (4.0 * R + 2.0 * P * P)
+    if not math.isfinite(v):
+        # P^2 overflowed (and c^2 underflows to 0 from P ~ 1e155); with the
+        # scale folded into each term, as in _t_mu, nothing over- or
+        # underflows, and every finite value keeps its bits
+        c = 0.5 * LOG2E / (1.0 + P)
+        v = 2.0 * (c * P) ** 2 + 4.0 * c * (c * R)
+    return v
 
 
 def v_hat_mu(P: float, R: float) -> float:

@@ -14,7 +14,6 @@ METHOD_EXACT = "exact-gamma"
 METHOD_SERIES_HIGH = "series-high-tau"
 METHOD_SERIES_LOW = "series-low-tau"
 METHOD_QUADRATURE = "quadrature"
-METHOD_MONTE_CARLO = "monte-carlo"
 
 
 def check_int(value, minimum: int, message: str) -> int:

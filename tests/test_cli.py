@@ -14,7 +14,7 @@ from scipy.special import erfinv
 
 from covertvd import __version__
 from covertvd.asymptotics import default_n_grid
-from covertvd.cli import EXIT_ACCURACY, EXIT_DOMAIN, EXIT_OK, FIGURES, main
+from covertvd.cli import EXIT_ACCURACY, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, FIGURES, main
 from covertvd.errors import AccuracyError
 from covertvd.special import _gamma_log_norm, reg_lower_gamma
 from covertvd.tvd import tvd_exact
@@ -604,3 +604,27 @@ class TestOutputFile:
         assert code == EXIT_OK
         assert out == ""
         assert "0.25" in target.read_text()
+
+    @pytest.mark.parametrize("argv", (
+        ("tvd", "--n", "100", "--tau", "0.5"),
+        ("bounds", "--n", "100", "--tau", "0.5"),
+        ("power", "--n", "100", "--delta", "0.1"),
+        ("throughput", "--n", "2000", "--eps", "0.001", "--delta", "0.1"),
+        ("sweep", "--tau", "0.5", "--points", "3"),
+        ("mc", "--n", "100", "--theta", "0.1", "--m", "100", "--seed", "1"),
+        ("fit-rate", "--tau", "0.7"),
+    ))
+    def test_unwritable_output_exits_usage(self, tmp_path, capsys, argv):
+        target = tmp_path / "missing" / "v.csv"
+        code, out, err = run_cli(capsys, *argv, "--output", str(target))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("covertvd: cannot write output: ") and str(target) in err
+
+    def test_figures_outdir_that_is_a_file_exits_usage(self, tmp_path, capsys):
+        outdir = tmp_path / "taken"
+        outdir.write_text("")
+        code, _, err = run_cli(capsys, "figures", "--outdir", str(outdir))
+        assert code == EXIT_USAGE
+        assert err.startswith("covertvd: cannot write output: ") and str(outdir) in err
+        assert outdir.read_text() == ""

@@ -8,15 +8,9 @@ import random
 import mpmath
 import pytest
 
-from covertvd.divergences import (
-    hellinger_sq,
-    kl_beta_lower,
-    kl_divergences,
-    tvd_bounds,
-)
+from covertvd.divergences import hellinger_sq, kl_divergences, tvd_bounds
 from covertvd.errors import DomainError
-from covertvd.special import reg_lower_gamma
-from covertvd.tvd import fg, tvd_exact
+from covertvd.tvd import tvd_exact
 from covertvd.types import ChannelPoint
 
 GRID_N = (2, 10, 100, 1000, 10000)
@@ -154,48 +148,3 @@ class TestLargeSnr:
         assert 0.0 <= hellinger_sq(point) == rep.hellinger_sq <= 1.0
         assert rep.hellinger_sq <= tvd_exact(point).value <= rep.sason_upper
 
-
-class TestKlBetaLower:
-    def test_default_beta_is_missed_detection(self):
-        # the default beta takes g from the same formula as fg, so the two
-        # agree to the bit
-        for n, theta in ((500, 0.1), (7, 0.37), (1000, 3.0), (10**6, 0.0025)):
-            point = ChannelPoint(n=n, theta=theta)
-            beta = reg_lower_gamma(0.5 * point.n, fg(point).g)
-            assert kl_beta_lower(point) == kl_beta_lower(point, beta)
-
-    def test_tracks_exact_distance_scale(self):
-        # a rate diagnostic, not a certified pointwise bound (at moderate
-        # theta it can exceed the exact distance): along theta = n^(-0.7)
-        # it sits below the distance and decays faster, n^(1-2tau) against
-        # the distance's n^((1-2tau)/2)
-        ratios = []
-        for n in (2000, 10000, 50000):
-            point = ChannelPoint.from_tau(n, 0.7)
-            diag = kl_beta_lower(point)
-            exact = tvd_exact(point).value
-            assert 0.0 < diag <= exact
-            ratios.append(diag / exact)
-        assert all(b < a for a, b in zip(ratios, ratios[1:]))
-
-    def test_not_a_lower_bound_at_moderate_theta(self):
-        # measured 0.770 against V = 0.645 at (100, 0.3), and 2.95 at (1000, 1)
-        point = ChannelPoint(n=100, theta=0.3)
-        assert kl_beta_lower(point) == pytest.approx(0.770, abs=5e-4)
-        assert tvd_exact(point).value == pytest.approx(0.645, abs=5e-4)
-        assert kl_beta_lower(ChannelPoint(n=1000, theta=1.0)) == pytest.approx(2.95, abs=5e-3)
-
-    def test_decay_exponent_along_scaling_law(self):
-        # theta = n^(-0.7): the diagnostic decays polynomially like the
-        # reverse divergence, exponent 1 - 2 tau = -0.4
-        ns = (10**3, 10**4, 10**5)
-        vals = [kl_beta_lower(ChannelPoint.from_tau(n, 0.7)) for n in ns]
-        slope = (math.log(vals[-1]) - math.log(vals[0])) / (math.log(ns[-1]) - math.log(ns[0]))
-        assert slope == pytest.approx(-0.4, abs=0.1)
-
-    def test_beta_domain(self):
-        point = ChannelPoint(n=100, theta=0.1)
-        with pytest.raises(DomainError):
-            kl_beta_lower(point, beta=0.0)
-        with pytest.raises(DomainError):
-            kl_beta_lower(ChannelPoint(n=100, theta=0.0))

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from covertvd import oracles
 from covertvd.errors import AccuracyError, DomainError
-from covertvd.oracles import lrt_threshold, simulate_test, tvd_monte_carlo, tvd_quadrature
+from covertvd.oracles import lrt_threshold, simulate_test, tvd_quadrature
 from covertvd.special import reg_lower_gamma, reg_upper_gamma
 from covertvd.tvd import fg, tvd_exact
-from covertvd.types import METHOD_MONTE_CARLO, METHOD_QUADRATURE, ChannelPoint
+from covertvd.types import METHOD_QUADRATURE, ChannelPoint
 
 
 class TestLrtThreshold:
@@ -117,15 +117,6 @@ class TestSimulateTest:
         for factor in (0.8, 0.9, 0.95, 1.05, 1.1, 1.2):
             est = simulate_test(point, m=10**5, seed=3, threshold_sq=factor * r2)
             assert est.tvd_hat - base.tvd_hat <= 3.0 * est.std_err
-
-    def test_monte_carlo_evaluation_wrapper(self):
-        point = ChannelPoint(n=500, theta=0.1)
-        ev = tvd_monte_carlo(point, m=10**5, seed=20260808)
-        est = simulate_test(point, m=10**5, seed=20260808)
-        assert ev.method == METHOD_MONTE_CARLO
-        assert ev.value == est.tvd_hat
-        assert ev.err_estimate == est.std_err
-        assert ev.terms_used == 10**5
 
     def test_std_err_formula(self):
         # one draw per trial: the error count is Binomial(m, alpha + beta)

@@ -11,7 +11,7 @@ from covertvd.cli import _figure_rows
 from covertvd.divergences import hellinger_sq, tvd_bounds
 from covertvd.errors import AccuracyError, ConsistencyError, DomainError
 from covertvd.power import (
-    CovertBudget,
+    _budget,
     _theta_of_eta,
     _theta_start,
     p_exact,
@@ -28,33 +28,33 @@ _BELOW_N0 = (1, 2, 10, 13, 50, 100, 300, 499)
 
 class TestCovertBudget:
     def test_limits_as_delta_vanishes(self):
-        b = CovertBudget.from_delta(2000, 1e-12)
-        assert b.y == pytest.approx(0.25, rel=1e-12)
-        assert b.y0 == pytest.approx(0.25, rel=1e-12)
-        assert b.lam < 1e-5 and b.lam1 < 1e-5
+        _, y, y0, lam, lam1 = _budget(2000, 1e-12)
+        assert y == pytest.approx(0.25, rel=1e-12)
+        assert y0 == pytest.approx(0.25, rel=1e-12)
+        assert lam < 1e-5 and lam1 < 1e-5
 
     def test_ranges(self):
         for delta in (0.01, 0.1, 0.5, 0.99):
-            b = CovertBudget.from_delta(500, delta)
-            assert 0.0 < b.y <= 0.25 and 0.0 < b.y0 <= 0.25
-            assert 0.0 <= b.lam < 1.0 and 0.0 <= b.lam1 < 1.0
+            _, y, y0, lam, lam1 = _budget(500, delta)
+            assert 0.0 < y <= 0.25 and 0.0 < y0 <= 0.25
+            assert 0.0 <= lam < 1.0 and 0.0 <= lam1 < 1.0
 
     def test_lambda_root_n_scaling(self):
         # lam * sqrt(n) tends to the constant 2 sqrt(-ln(1-delta))
         delta = 0.1
         limit = 2.0 * math.sqrt(-math.log1p(-delta))
         for n in (10**3, 10**4, 10**5, 10**6):
-            scaled = CovertBudget.from_delta(n, delta).lam * math.sqrt(n)
+            scaled = _budget(n, delta)[3] * math.sqrt(n)
             assert 0.95 * limit <= scaled <= 1.0001 * limit
 
     @pytest.mark.parametrize("delta", [0.0, 1.0, -0.5, math.nan])
     def test_domain(self, delta):
         with pytest.raises(DomainError):
-            CovertBudget.from_delta(100, delta)
+            _budget(100, delta)
 
     def test_blocklength_beyond_double_range(self):
         with pytest.raises(DomainError, match="double range"):
-            CovertBudget.from_delta(10**400, 0.1)
+            _budget(10**400, 0.1)
         with pytest.raises(DomainError, match="double range"):
             p_exact(10**400, 0.1)
 
@@ -176,7 +176,7 @@ class TestPExact:
     def test_budget_near_one_where_lambda_rounds_to_one(self):
         # (1 - delta)^(4/n) = 1e-24 at n = 1: lam = 1.0 in double precision
         n, delta = 1, 0.999999
-        assert CovertBudget.from_delta(n, delta).lam == 1.0
+        assert _budget(n, delta)[3] == 1.0
         interval = p_exact(n, delta)
         assert math.isfinite(interval.p_nec)
         assert interval.p_suf <= interval.p_exact <= interval.p_nec

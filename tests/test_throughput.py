@@ -276,6 +276,51 @@ class TestMomentMachinery:
         assert be_margin(2000, 0.0224, 0.8) > 0.1
 
 
+#: (log2 e)^2 / 2, the limit of both dispersions as the power grows
+_V_LIMIT = 0.5 * math.log2(math.e) ** 2
+
+
+def mp_v_hat(P, R):
+    with mpmath.workdps(30):
+        P, R = mpmath.mpf(P), mpmath.mpf(R)
+        return float((1 / (2 * mpmath.log(2) * (1 + P))) ** 2 * (4 * R + 2 * P * P))
+
+
+class TestHugePower:
+    @pytest.mark.parametrize("P", (1e20, 1.3e154, 1e155, 1e200, 1e308, 1.7e308))
+    def test_dispersion_tends_to_its_limit(self, P):
+        # P (P + 2) and (1 + P)^2 overflow from P ~ 1.3e154 (NaN before)
+        assert dispersion(P) == _V_LIMIT
+
+    @pytest.mark.parametrize("P", (1e150, 1e154, 1e155, 1e200, 1e308, 1.7e308))
+    @pytest.mark.parametrize("ratio", (0.0, 0.81, 1.0))
+    def test_shell_dispersion_matches_mpmath(self, P, ratio):
+        # inf at P = 1e154 and NaN from 1e155 before
+        assert v_hat_mu(P, ratio * P) == pytest.approx(mp_v_hat(P, ratio * P), rel=1e-15, abs=0.0)
+
+    def test_finite_values_keep_their_bits(self):
+        # the regrouped forms are taken only where the plain ones are not finite
+        rng = random.Random(20261022)
+        for _ in range(200):
+            P = math.exp(rng.uniform(math.log(1e-12), math.log(1e150)))
+            R = rng.uniform(0.0, P)
+            plain = 0.5 * math.log2(math.e) * math.log2(math.e) * P * (P + 2.0) / ((1.0 + P) * (1.0 + P))
+            assert dispersion(P) == plain
+            c = math.log2(math.e) / (2.0 * (1.0 + P))
+            assert v_hat_mu(P, R) == c * c * (4.0 * R + 2.0 * P * P)
+
+    def test_bounds_stay_finite(self):
+        converse = converse_na(1000, 0.1, 1e200)
+        assert math.isfinite(converse.bits)
+        assert converse.term_second == pytest.approx(
+            -math.sqrt(1000 * _V_LIMIT) * norm.isf(0.1), rel=1e-14)
+        assert math.isfinite(achievability_na(1000, 0.1, 1e200, 0.9, 0.01).bits)
+        # past P ~ 1e3 only n C(mu P) still grows: by n log2(P)/2 from 1e100 to 1e200
+        full = achievability_full(100000, 0.2, 1e200, 0.9)
+        below = achievability_full(100000, 0.2, 1e100, 0.9)
+        assert full.bits - below.bits == pytest.approx(0.5 * 100000 * math.log2(1e100), rel=1e-12)
+
+
 class TestAchievabilityNa:
     def test_term_collapse_at_median_error(self):
         n, P, mu = 2000, 0.0224, 0.8
