@@ -2,29 +2,33 @@
 
 Provides
 --------
-coeffs_c                : expansion coefficients c_k(a) and c*_k(a)
-phi_linear              : Phi_k(z - a) sequence for the linear-argument regimes
-phi_transition          : Phi_k(a, z) sequence for the transition regime
-gamma_series_lower      : regularized gamma(a+1, z) / Gamma(a+1), z below a
-gamma_series_upper      : regularized Gamma(a+1, z) / Gamma(a+1), z above a
-gamma_series_transition : regularized Gamma(a+1, z) / Gamma(a+1), z near a
-stirling_gamma_halfn    : the paper's ln Gamma(n/2) asymptotic, for comparison
+coeffs_c             : expansion coefficients c_k(a) and c*_k(a)
+phi_linear           : Phi_k(z - a) sequence for the linear-argument regimes
+phi_transition       : Phi_k(a, z) sequence for the transition regime
+stirling_gamma_halfn : the paper's ln Gamma(n/2) asymptotic, for comparison
 
-The three series target different argument regimes of the shape a:
+and the series evaluators tvd.tvd_series runs, which target different
+argument regimes of the shape a:
 
-* lower  (z well below a): convergent expansion of the lower function,
-  e^(-z) z^(a+1) sum c_k(a) Phi_k(z - a);
-* upper  (z well above a): the matching expansion of the upper function
-  with c*_k(a) / (z - a)^(k+1) terms.  It is asymptotic, not convergent,
-  so summation stops at the smallest-magnitude term when that happens
-  before the requested order (classical optimal truncation).  The same
-  early stop is applied to the lower series, whose terms also grow past
-  an optimal index at practical arguments;
-* transition (|z - a| <= a^(2/3)): erfc-based expansion around z ~ a.
+* _gamma_series_lower (z well below a): convergent expansion of the lower
+  function gamma(a+1, z) / Gamma(a+1), e^(-z) z^(a+1) sum c_k(a) Phi_k(z - a);
+* _gamma_series_upper (z well above a): the matching expansion of the upper
+  function Gamma(a+1, z) / Gamma(a+1) with c*_k(a) / (z - a)^(k+1) terms.
+  It is asymptotic, not convergent, so summation stops at the
+  smallest-magnitude term when that happens before the requested order
+  (classical optimal truncation).  The same early stop is applied to the
+  lower series, whose terms also grow past an optimal index at practical
+  arguments;
+* _transition_sum (|z - a| <= a^(2/3)): erfc-based expansion of the upper
+  function around z ~ a.
 
-Every prefactor e^(-z) z^(a+1) / Gamma(a+1) is exp of the scaled Gamma(a+1)
-log density special._gamma_log_density, which has no term of size a ln a,
-so it keeps its digits at every shape, huge blocklengths included.
+They take a shape, order and arguments their caller has validated; the two
+linear series check only that z lies on their side of a, and raise
+RegimeError otherwise.  A linear tail's value is its sum times
+_prefactor(a, z); _transition_sum applies its prefactor itself.  Every
+prefactor e^(-z) z^(a+1) / Gamma(a+1) is exp of the scaled Gamma(a+1) log
+density special._gamma_log_density, which has no term of size a ln a, so
+it keeps its digits at every shape, huge blocklengths included.
 
 The series evaluators each run one loop: _gamma_series_upper advances c*_k,
 and _gamma_series_lower advances c_k and Phi_k(z - a), pair of terms by
@@ -44,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import AccuracyError, DomainError, OrderError, RegimeError
+from .errors import DomainError, OrderError, RegimeError
 from .special import _gamma_log_density, _gamma_log_norm, erfc
 from .types import check_int
 
@@ -285,60 +289,6 @@ def _transition_sum(a: float, g: float, f: float | None, K: int) -> float:
         append(c1 * (pg - pf))
         k_prev = k
     return _prefactor(a, a) * math.fsum(terms)
-
-
-def _finite_sum(value: float, name: str, a: float, z: float, K: int) -> float:
-    """value, unless it is not finite: at huge shapes the coefficient
-    recurrences overflow and a NaN or infinite term enters the sum."""
-    if not math.isfinite(value):
-        raise AccuracyError(
-            f"{name} sum is {value} at a={a}, z={z}, K={K}: "
-            f"its coefficients overflow the double range"
-        )
-    return value
-
-
-def gamma_series_lower(a: float, z: float, K: int = 20) -> float:
-    """Truncated expansion of gamma(a+1, z) / Gamma(a+1) for z below a.
-
-    Accurate once a - z is several sqrt(a); near the transition point use
-    gamma_series_transition instead.
-    """
-    _check_shape(a)
-    _check_order(K)
-    if not math.isfinite(z) or z < 0.0:
-        raise DomainError(f"argument must be finite and nonnegative, got z={z!r}")
-    if z == 0.0:
-        return 0.0
-    total, _ = _gamma_series_lower(a, z, K)
-    return _finite_sum(_prefactor(a, z) * total, "lower series", a, z, K)
-
-
-def gamma_series_upper(a: float, z: float, K: int = 20) -> float:
-    """Truncated expansion of Gamma(a+1, z) / Gamma(a+1) for z above a.
-
-    The series is asymptotic, not convergent; summation stops at the
-    smallest-magnitude term when that precedes order K.
-    """
-    _check_shape(a)
-    _check_order(K)
-    if not math.isfinite(z):
-        raise DomainError(f"argument must be finite, got z={z!r}")
-    total, _ = _gamma_series_upper(a, z, K)
-    return _finite_sum(_prefactor(a, z) * total, "upper series", a, z, K)
-
-
-def gamma_series_transition(a: float, z: float, K: int = 20) -> float:
-    """Truncated transition expansion of Gamma(a+1, z) / Gamma(a+1) for z near a."""
-    _check_shape(a)
-    _check_order(K)
-    if not (math.isfinite(z) and z > 0.0):
-        raise DomainError(f"argument must be finite and positive, got z={z!r}")
-    if abs(z - a) > a ** (2.0 / 3.0):
-        raise RegimeError(
-            f"transition expansion requires |z - a| <= a^(2/3), got |{z} - {a}| = {abs(z - a)}"
-        )
-    return _finite_sum(_transition_sum(a, z, None, K), "transition series", a, z, K)
 
 
 def stirling_gamma_halfn(n: int) -> float:

@@ -44,6 +44,8 @@ _REL_TOL = 1e-12
 #: scipy's default of 100: at most 117 iterations were measured over 40000
 #: seeded solves with n < 500 and delta in [1e-16, 0.999].
 _MAX_ITER = 200
+#: The normal double range: the power levels keep their digits inside it.
+_NORMAL_MIN, _MAX = sys.float_info.min, sys.float_info.max
 
 
 def _budget(n: int, delta: float) -> tuple[int, float, float, float, float]:
@@ -58,7 +60,18 @@ def _budget(n: int, delta: float) -> tuple[int, float, float, float, float]:
     log_y4 = (4.0 / n) * math.log1p(-delta)            # ln (1-delta)^(4/n)
     log_y04 = (2.0 / n) * math.log1p(-delta * delta)   # ln (1-delta^2)^(2/n)
     y, y0 = 0.25 * math.exp(log_y4), 0.25 * math.exp(log_y04)
-    return n, y, y0, math.sqrt(-math.expm1(log_y4)), math.sqrt(-math.expm1(log_y04))
+    lam_sq, lam1_sq = -math.expm1(log_y4), -math.expm1(log_y04)
+    lam, lam1 = math.sqrt(lam_sq), math.sqrt(lam1_sq)
+    # past n ~ 1e292 at small delta 1 - 4y can leave the normal range and
+    # keep few digits or none; there it equals -ln(4y) to double precision,
+    # whose square root is regrouped over sqrt(n).  Below delta = 1e-8,
+    # sqrt(-ln(1 - delta^2)) = delta (1 + delta^2/4) rounds to delta
+    if lam_sq < _NORMAL_MIN:
+        lam = 2.0 * math.sqrt(-math.log1p(-delta)) / math.sqrt(n)
+    if lam1_sq < _NORMAL_MIN:
+        root = delta if delta < 1e-8 else math.sqrt(-math.log1p(-delta * delta))
+        lam1 = math.sqrt(2.0) * root / math.sqrt(n)
+    return n, y, y0, lam, lam1
 
 
 @dataclass(frozen=True)
@@ -82,6 +95,19 @@ def _snr_from_lambda(lam: float, y: float) -> float:
     return 2.0 * lam * (1.0 + lam) / (4.0 * y)
 
 
+def _scaled(name: str, snr: float, sigma2: float, n: int, delta: float) -> float:
+    """The power level snr * sigma2, or AccuracyError where it is not a
+    normal finite double: it overflowed to inf, or it is zero or subnormal
+    and keeps too few digits."""
+    level = snr * sigma2
+    if not _NORMAL_MIN <= level <= _MAX:
+        raise AccuracyError(
+            f"{name} at n={n}, delta={delta}, sigma2={sigma2} is {level!r}, "
+            f"outside the normal double range"
+        )
+    return level
+
+
 def p_nec(n: int, delta: float, sigma2: float = 1.0) -> float:
     """Necessary power level: above it the budget is certainly violated.
 
@@ -89,8 +115,8 @@ def p_nec(n: int, delta: float, sigma2: float = 1.0) -> float:
     scaled by sigma2.
     """
     check_sigma2(sigma2)
-    _, y, _, lam, _ = _budget(n, delta)
-    return _snr_from_lambda(lam, y) * sigma2
+    n, y, _, lam, _ = _budget(n, delta)
+    return _scaled("p_nec", _snr_from_lambda(lam, y), sigma2, n, delta)
 
 
 def p_suf(n: int, delta: float, sigma2: float = 1.0) -> float:
@@ -100,8 +126,8 @@ def p_suf(n: int, delta: float, sigma2: float = 1.0) -> float:
     sqrt(1 - (1 - H^2)^2) equal to delta, scaled by sigma2.
     """
     check_sigma2(sigma2)
-    _, _, y0, _, lam1 = _budget(n, delta)
-    return _snr_from_lambda(lam1, y0) * sigma2
+    n, _, y0, _, lam1 = _budget(n, delta)
+    return _scaled("p_suf", _snr_from_lambda(lam1, y0), sigma2, n, delta)
 
 
 #: Blocklength from which p_exact is the closed form _theta_start: the
@@ -133,7 +159,8 @@ def p_exact(n: int, delta: float, sigma2: float = 1.0) -> PowerInterval:
     rounding of theta sets the residual.  A closed form that rounds below
     the normal double range (theta < 2.2e-308, as at n = 1e300,
     delta = 1e-300) raises AccuracyError, and one outside (p_suf, p_nec)
-    ConsistencyError.
+    ConsistencyError.  A level that is not a normal finite double once
+    scaled by sigma2 raises AccuracyError, as in p_suf and p_nec.
 
     Below _N0, _solve runs Brent's method on the snr bracket
     [p_suf, p_nec]/sigma2 to the relative tolerance _REL_TOL = 1e-12, with
@@ -149,7 +176,7 @@ def p_exact(n: int, delta: float, sigma2: float = 1.0) -> PowerInterval:
         theta = _solve(n, delta, suf, nec)
     else:
         theta = _theta_start(n, delta)
-        if theta < sys.float_info.min:
+        if theta < _NORMAL_MIN:
             raise AccuracyError(
                 f"p_exact at n={n}, delta={delta} is {theta!r}, below the normal double range"
             )
@@ -158,7 +185,11 @@ def p_exact(n: int, delta: float, sigma2: float = 1.0) -> PowerInterval:
                 f"closed-form p_exact {theta!r} not bracketed by [p_suf, p_nec] = "
                 f"[{suf!r}, {nec!r}] at n={n}, delta={delta}"
             )
-    return PowerInterval(p_suf=suf * sigma2, p_exact=theta * sigma2, p_nec=nec * sigma2)
+    return PowerInterval(
+        p_suf=_scaled("p_suf", suf, sigma2, n, delta),
+        p_exact=_scaled("p_exact", theta, sigma2, n, delta),
+        p_nec=_scaled("p_nec", nec, sigma2, n, delta),
+    )
 
 
 def _solve(n: int, delta: float, suf: float, nec: float) -> float:

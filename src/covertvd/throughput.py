@@ -101,11 +101,6 @@ def dispersion(P: float) -> float:
     return v
 
 
-def _check_radius(R: float) -> None:
-    if R < 0.0:
-        raise DomainError(f"rate-shell radius must be nonnegative, got {R!r}")
-
-
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 #: E|Z|^3 for standard normal Z
@@ -113,7 +108,19 @@ _ABS_MOMENT3 = 2.0 * math.sqrt(2.0 / math.pi)
 
 
 def _t_mu(P: float, R: float, mu: float) -> float:
-    """t_mu for a (P, R, mu) the caller has validated."""
+    """Third absolute moment E|c q(Z)|^3 over standard normal Z, with
+    c = log2(e)/(2(1 + mu P)) and q(z) = mu P + 2 sqrt(R) z - mu P z^2, for
+    P >= 0, mu in (0, 1) and R >= 0 the caller has validated.
+
+    Closed form: with C = mu P and B = 2 sqrt(R), q > 0 exactly between its
+    roots z1 = -1/z2 and z2 = (B + sqrt(B^2 + 4 C^2))/(2C), so
+    E|q|^3 = 2 E[q^3; z1 < Z < z2] + 8 C^3 + 6 B^2 C, where the first term
+    is q^3's coefficients against the truncated normal moments m_0..m_6
+    over (z1, z2); C = 0 gives the linear limit B^3 E|Z|^3 = B^3 2 sqrt(2/pi).
+    Relative error against 40-digit mpmath quadrature split at z1, 0 and
+    z2: at most 9.3e-16 at 363 points over P in [1e-14, 1e6],
+    mu in [0.05, 0.99], R in [mu^2 P, P] (seeded and corner points).
+    """
     # c = log2(e)/(2(1 + mu P)), halved first so 2(1 + mu P) cannot overflow;
     # q(z) = C + B z - C z^2 carries the scale c, so neither coefficient
     # overflows at huge P
@@ -146,26 +153,10 @@ def _t_mu(P: float, R: float, mu: float) -> float:
     return 2.0 * inner + C * (8.0 * C * C + 6.0 * B * B)
 
 
-def t_mu(P: float, R: float, mu: float) -> float:
-    """Third absolute moment E|c q(Z)|^3 over standard normal Z, with
-    c = log2(e)/(2(1 + mu P)) and q(z) = mu P + 2 sqrt(R) z - mu P z^2.
-
-    Closed form: with C = mu P and B = 2 sqrt(R), q > 0 exactly between its
-    roots z1 = -1/z2 and z2 = (B + sqrt(B^2 + 4 C^2))/(2C), so
-    E|q|^3 = 2 E[q^3; z1 < Z < z2] + 8 C^3 + 6 B^2 C, where the first term
-    is q^3's coefficients against the truncated normal moments m_0..m_6
-    over (z1, z2); C = 0 gives the linear limit B^3 E|Z|^3 = B^3 2 sqrt(2/pi).
-    Relative error against 40-digit mpmath quadrature split at z1, 0 and
-    z2: at most 9.3e-16 at 363 points over P in [1e-14, 1e6],
-    mu in [0.05, 0.99], R in [mu^2 P, P] (seeded and corner points).
-    """
-    _check_power(P)
-    _check_mu(mu)
-    _check_radius(R)
-    return _t_mu(P, R, mu)
-
-
 def _v_hat(P: float, R: float) -> float:
+    """Shell dispersion (log2 e / (2(1+P)))^2 (4R + 2P^2)
+    = dispersion(P) * (2R + P^2)/(2P + P^2), for P >= 0 and R >= 0 the
+    caller has validated."""
     c = LOG2E / (2.0 * (1.0 + P))
     v = c * c * (4.0 * R + 2.0 * P * P)
     if not math.isfinite(v):
@@ -177,16 +168,9 @@ def _v_hat(P: float, R: float) -> float:
     return v
 
 
-def v_hat_mu(P: float, R: float) -> float:
-    """Shell dispersion (log2 e / (2(1+P)))^2 (4R + 2P^2)
-    = dispersion(P) * (2R + P^2)/(2P + P^2)."""
-    _check_power(P)
-    _check_radius(R)
-    return _v_hat(P, R)
-
-
 def _b_mu(P: float, R: float, mu: float, v: float) -> float:
-    """b_mu for a validated (P, R, mu), given v = v_hat_mu(P, R)."""
+    """Berry-Esseen ratio 6 T_mu(P, R) / v^(3/2) for a validated (P, R, mu),
+    given the shell dispersion v = _v_hat(P, R)."""
     # v^(3/2) underflows to 0 while v is still positive, below v ~ 1e-215
     v32 = v ** 1.5
     if v32 == 0.0:
@@ -194,19 +178,14 @@ def _b_mu(P: float, R: float, mu: float, v: float) -> float:
     return 6.0 * _t_mu(P, R, mu) / v32
 
 
-def b_mu(P: float, R: float, mu: float) -> float:
-    """Berry-Esseen ratio 6 T_mu(P, R) / v_hat_mu(P, R)^(3/2)."""
-    _check_power(P)
-    _check_mu(mu)
-    _check_radius(R)
-    return _b_mu(P, R, mu, _v_hat(P, R))
-
-
 def be_margin(n: int, P: float, mu: float) -> float:
     """Normal-approximation validity margin 2 B_mu(P, mu P)/sqrt(n); the
     approximation's Berry-Esseen guard asks for this to be below eps."""
     n = check_blocklength(n)
-    return 2.0 * b_mu(P, mu * P, mu) / math.sqrt(n)
+    _check_power(P)
+    _check_mu(mu)
+    R = mu * P
+    return 2.0 * _b_mu(P, R, mu, _v_hat(P, R)) / math.sqrt(n)
 
 
 def truncation_mass(n: int, mu: float) -> float:

@@ -129,6 +129,18 @@ class TestHugeBlocklengthPower:
         row = json.loads(out)[0]
         assert row["p_exact"] == pytest.approx(4.0 * erfinv(0.1) / math.sqrt(n), rel=1e-12)
 
+    @pytest.mark.parametrize("n, delta, sigma2, level", (
+        ("10", "0.5", "1e308", "p_nec"),
+        ("1", "0.999999", "1e308", "p_suf"),
+        ("1000", "0.5", "1e-320", "p_suf"),
+    ))
+    def test_level_outside_normal_range_exits_accuracy(self, capsys, n, delta, sigma2, level):
+        # these printed inf, or subnormal levels with 2-3 digits, and exited 0
+        code, out, err = run_cli(capsys, "power", "--n", n, "--delta", delta, "--sigma2", sigma2)
+        assert code == EXIT_ACCURACY
+        assert out == ""
+        assert f"{level} at n={n}" in err and "outside the normal double range" in err
+
     def test_unresolved_kernel_exits_accuracy(self, capsys):
         # below n = 500 Brent runs, and at this budget f and g round to the
         # same double on the whole bracket

@@ -19,6 +19,12 @@ def test_every_exported_name_resolves_once():
     ("power", "CovertBudget"),
     ("oracles", "tvd_monte_carlo"),
     ("types", "METHOD_MONTE_CARLO"),
+    ("expansions", "gamma_series_lower"),
+    ("expansions", "gamma_series_upper"),
+    ("expansions", "gamma_series_transition"),
+    ("throughput", "t_mu"),
+    ("throughput", "v_hat_mu"),
+    ("throughput", "b_mu"),
 ))
 def test_removed_names_are_gone(module, name):
     assert name not in covertvd.__all__

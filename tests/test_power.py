@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -92,6 +93,52 @@ class TestClosedForms:
 
     def test_sigma2_scaling(self):
         assert p_nec(500, 0.1, sigma2=3.0) == pytest.approx(3.0 * p_nec(500, 0.1), rel=1e-14)
+
+    @pytest.mark.parametrize("n, delta, sigma2, bad", (
+        (10, 0.5, 1e308, {p_nec}),
+        (1, 0.999999, 1e308, {p_suf, p_nec}),
+        (1000, 0.5, 1e-320, {p_suf, p_nec}),
+        (10**20, 7e-299, 1.0, {p_suf}),
+    ))
+    def test_level_outside_normal_range_raises_accuracy_error(self, n, delta, sigma2, bad):
+        # inf above the double range, and subnormal levels with 2-3 digits
+        # below it; in the last case p_suf is subnormal in snr units too,
+        # while p_exact's theta is still normal
+        for level in (p_suf, p_nec):
+            if level in bad:
+                with pytest.raises(AccuracyError, match="outside the normal double range"):
+                    level(n, delta, sigma2)
+            else:
+                assert math.isfinite(level(n, delta, sigma2))
+        with pytest.raises(AccuracyError, match="outside the normal double range"):
+            p_exact(n, delta, sigma2)
+
+    @pytest.mark.parametrize("n, delta", (
+        (10**6, 1e-170), (10**200, 1e-60), (10**292, 0.5), (10**300, 1e-3),
+        (10**300, 1e-15), (10**308, 0.1), (10**308, 1e-15), (int(1.7e308), 1e-300),
+    ), ids=lambda v: f"{v:.2g}")
+    def test_budget_below_normal_range_keeps_its_digits(self, n, delta):
+        # 1 - 4y or 1 - 4y0 is subnormal or 0.0 here (p_suf read 0.0 at
+        # delta = 1e-170 and 1e-15); 50-digit mpmath of the same closed forms
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            N, D = mp.mpf(n), mp.mpf(delta)
+            for level, log_4y in ((p_suf, 2 / N * mp.log1p(-D * D)), (p_nec, 4 / N * mp.log1p(-D))):
+                lam = mp.sqrt(-mp.expm1(log_4y))
+                ref = 2 * lam * (1 + lam) / mp.exp(log_4y)
+                if ref < sys.float_info.min:
+                    continue  # p_suf at delta = 1e-300, below the normal range
+                assert abs(level(n, delta) - ref) <= 4e-16 * ref, level
+
+    def test_levels_at_the_edges_of_the_normal_range(self):
+        # the largest and smallest sigma2 that keep every level of
+        # (10, 0.5) a normal double scale them exactly as in snr units
+        snr = p_exact(10, 0.5)
+        for sigma2 in (1.7e308 / snr.p_nec, 2.3e-308 / snr.p_suf):
+            interval = p_exact(10, 0.5, sigma2)
+            assert interval.p_suf == snr.p_suf * sigma2
+            assert interval.p_exact == snr.p_exact * sigma2
+            assert interval.p_nec == snr.p_nec * sigma2
 
 
 #: (p_suf, p_exact, p_nec) as float.hex, recorded on CPython 3.11.7 with
